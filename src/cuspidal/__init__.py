@@ -44,6 +44,7 @@ from .linalg import (
     QmodZ,
     SmithDecomposition,
     bordered_lattice_index,
+    cokernel,
     quotient_structure,
     smith_normal_form,
 )

@@ -6,19 +6,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curve import CuspDivisor, divisor_basis, lambda_embedding
+from .curve import CuspDivisor
 from .errors import ScopeError
 from .eta import EtaQuotient, divisor, order_coefficient, pq_generators, prime_power_generators
 from .linalg import (
     AbelianGroup,
     IntMatrix,
+    cokernel,
     congruence_kernel,
     divisors_of,
     euler_phi,
     factorize,
     hermite_row_basis,
     is_prime,
-    quotient_structure,
 )
 
 
@@ -67,17 +67,24 @@ def _require_odd_prime_scope(p):
         raise ScopeError(f"p = {p} is not prime")
 
 
+def divisor_lattice_coordinates(E: CuspDivisor):
+    """Coordinates of an integral degree-zero cuspidal divisor in the basis
+    Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
+    is rational, they are the coefficients of E at those cusps. C(N) is the
+    cokernel of the matrix of these rows over a basis of the unit lattice."""
+    if not E.is_integral() or E.degree() != 0:
+        raise ValueError("expected an integral degree-zero divisor")
+    return [int(E.coefficient(d)) for d in divisors_of(E.N)[:-1]]
+
+
 def class_group(p: int, n: int) -> ClassGroupResult:
     """C(p^n) for p >= 5 prime, as the quotient of the cuspidal divisor
     lattice by the lattice of eta-unit divisors."""
     _require_odd_prime_scope(p)
     if n < 1:
         raise ValueError("n must be positive")
-    gens = prime_power_generators(p, n)
-    gen_divisors = tuple(divisor(h) for h in gens)
-    ambient = [lambda_embedding(d, p, n) for d in divisor_basis(p, n)]
-    sub = [lambda_embedding(d, p, n) for d in gen_divisors]
-    group = quotient_structure(ambient, sub)
+    gen_divisors = tuple(divisor(h) for h in prime_power_generators(p, n))
+    group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], n)
     return ClassGroupResult(N=p**n, group=group, generator_divisors=gen_divisors, certified=True)
 
 
@@ -99,23 +106,10 @@ def ling_structure(p: int, n: int) -> AbelianGroup:
     return AbelianGroup.from_cyclic_orders(orders)
 
 
-def pq_divisor_coordinates(E: CuspDivisor, p: int, q: int):
-    """Coordinates of a degree-zero integral divisor on X0(pq) in the basis
-    D1 = Q_1 - Q_pq, D2 = Q_p - Q_pq, D3 = Q_q - Q_pq."""
-    if E.N != p * q:
-        raise ValueError("divisor is not on X0(pq)")
-    if not E.is_integral() or E.degree() != 0:
-        raise ValueError("expected an integral degree-zero divisor")
-    return [int(E.coefficient(d)) for d in (1, p, q)]
-
-
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
     """C(pq) for distinct primes p == q == 1 mod 12, from the three-unit lattice."""
-    gens = pq_generators(p, q)
-    gen_divisors = tuple(divisor(h) for h in gens)
-    ambient = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    sub = [pq_divisor_coordinates(d, p, q) for d in gen_divisors]
-    group = quotient_structure(ambient, sub)
+    gen_divisors = tuple(divisor(h) for h in pq_generators(p, q))
+    group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], 3)
     return ClassGroupResult(N=p * q, group=group, generator_divisors=gen_divisors, certified=True)
 
 
@@ -204,14 +198,6 @@ def eta_unit_divisor_lattice(N: int) -> list:
     return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in vectors]
 
 
-def divisor_lattice_coordinates(E: CuspDivisor):
-    """Coordinates of an integral degree-zero cuspidal divisor in the basis
-    Q_d - deg(Q_d) * Q_N over proper divisors d of N."""
-    if not E.is_integral() or E.degree() != 0:
-        raise ValueError("expected an integral degree-zero divisor")
-    return [int(E.coefficient(d)) for d in divisors_of(E.N)[:-1]]
-
-
 def class_group_for_level(N: int) -> ClassGroupResult:
     """C(N) for arbitrary N, dispatching to a certified computation when the
     eta-unit lattice is known to fill out all principal cuspidal divisors and
@@ -232,12 +218,8 @@ def class_group_for_level(N: int) -> ClassGroupResult:
         if p % 12 == 1 and q % 12 == 1:
             return class_group_pq(p, q)
     lattice = eta_unit_divisor_lattice(N)
-    ndivs = len(divisors_of(N))
-    ambient = [
-        [1 if i == j else 0 for j in range(ndivs - 1)] for i in range(ndivs - 1)
-    ]
-    sub = [divisor_lattice_coordinates(E) for E in lattice]
-    group = quotient_structure(ambient, sub)
+    rows = [divisor_lattice_coordinates(E) for E in lattice]
+    group = cokernel(rows, len(divisors_of(N)) - 1)
     return ClassGroupResult(N=N, group=group, generator_divisors=tuple(lattice), certified=False)
 
 

@@ -193,7 +193,7 @@ def cmd_leading_coeffs(args):
 
 def cmd_delta(args):
     matrix = delta_matrix(args.p, args.n)
-    cokernel = delta_cokernel(args.p, args.n)
+    cokernel = delta_cokernel(matrix)
     results = {
         "matrix": _matrix_payload(matrix),
         "cokernel": _group_payload(cokernel),

@@ -11,9 +11,9 @@ cuspidal divisor class group.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .classgroup import pq_divisor_coordinates
+from .classgroup import divisor_lattice_coordinates
 from .curve import CuspDivisor
 from .errors import ScopeError
 from .eta import EtaQuotient, divisor, pq_generators, prime_power_generators
@@ -21,8 +21,8 @@ from .linalg import (
     AbelianGroup,
     IntMatrix,
     QmodZ,
+    cokernel,
     congruence_kernel,
-    divisors_of,
     factorize,
     is_prime,
     quotient_structure,
@@ -106,17 +106,15 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def delta_cokernel(p: int, n: int) -> AbelianGroup:
-    """Cokernel of the unit-evaluation map: cyclic of order 12/gcd(p-1,12)."""
-    matrix = delta_matrix(p, n)
-    ambient = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return quotient_structure(ambient, [list(row) for row in matrix])
+def delta_cokernel(matrix: IntMatrix) -> AbelianGroup:
+    """Cokernel of the unit-evaluation map given by its matrix (as built by
+    `delta_matrix`): cyclic of order 12/gcd(p-1,12)."""
+    return cokernel(matrix, matrix.ncols)
 
 
 def _unit_matrix_in_divisor_basis(p, n):
     """Rows: div f, div g_k in the coordinates of the basis D_0..D_(n-1)."""
-    gens = prime_power_generators(p, n)
-    return [[int(divisor(h).coefficient(p**i)) for i in range(n)] for h in gens]
+    return [divisor_lattice_coordinates(divisor(h)) for h in prime_power_generators(p, n)]
 
 
 def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
@@ -124,24 +122,24 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     group of X0(p^n).
 
     The cokernel of the unit-evaluation map is cyclic of order a' generated
-    by the class of p; the kernel is determined by the least divisor b of a'
-    for which b.(class of p) already lies in the rational extension of the
-    map to all degree-zero cuspidal divisors.
+    by the class of p; the kernel is determined by the least b for which
+    b.(class of p) already lies in the image of the integral divisors under
+    the rational extension of the map. With x the rational divisor
+    coordinates of the preimage of the class of p, that b is the lcm of the
+    denominators of x, and it divides a'.
     """
     _require_p_at_least_5(p)
     a_prime = 12 // gcd(p - 1, 12)
     dm = delta_matrix(p, n)
     w = _unit_matrix_in_divisor_basis(p, n)
     dm_t = [[dm[i, j] for i in range(n)] for j in range(n)]
-    w_t = [list(col) for col in zip(*w)]
-    for b in divisors_of(a_prime):
-        target = [Fraction(b if j == 0 else 0) for j in range(n)]
-        y = solve_exact(dm_t, target)
-        x = [sum(col[i] * y[i] for i in range(n)) for col in w_t]
-        if all(value.denominator == 1 for value in x):
-            quotient = a_prime // b
-            return AbelianGroup((quotient,)) if quotient > 1 else AbelianGroup.trivial()
-    raise AssertionError("a'.lambda must lie in the image of the unit lattice")
+    y = solve_exact(dm_t, [1] + [0] * (n - 1))
+    x = [sum(w[i][j] * y[i] for i in range(n)) for j in range(n)]
+    b = lcm(*(value.denominator for value in x))
+    if a_prime % b:
+        raise AssertionError("a'.lambda must lie in the image of the unit lattice")
+    quotient = a_prime // b
+    return AbelianGroup((quotient,)) if quotient > 1 else AbelianGroup.trivial()
 
 
 def mu_contribution(p: int, n: int) -> AbelianGroup:
@@ -230,7 +228,7 @@ def pq_delta_kernel(p: int, q: int) -> TorsionResult:
                 assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
                 row.append(diff // 2)
         lc_rows.append(row)
-    w = [pq_divisor_coordinates(divisor(h), p, q) for h in gens]
+    w = [divisor_lattice_coordinates(divisor(h)) for h in gens]
     # extension of the evaluation map to all of the divisor lattice: rows
     # delta_tilde(D_j) = (row j of W^-1 . lc_rows), exact rationals
     w_t = [list(col) for col in zip(*w)]

@@ -381,6 +381,22 @@ def express_in_basis(basis, vector):
     return solve_exact(cols, vector)
 
 
+def cokernel(rows, k: int) -> AbelianGroup:
+    """Structure of Z^k modulo the span of the given integer rows of length k,
+    read off the Smith normal form diagonal.
+
+    Raises ValueError when the rows span a lattice of rank below k (the
+    quotient is then infinite).
+    """
+    rows = [list(v) for v in rows]
+    if any(len(v) != k for v in rows):
+        raise ValueError(f"rows must have length {k}")
+    diag = smith_normal_form(IntMatrix(rows)).d.diagonal() if rows else []
+    if sum(1 for d in diag if d != 0) < k:
+        raise ValueError("sub lattice has smaller rank; quotient is infinite")
+    return AbelianGroup(tuple(d for d in diag if d > 1))
+
+
 def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
     """Structure of (lattice spanned by ambient_basis)/(lattice spanned by sub_basis).
 
@@ -394,7 +410,6 @@ def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
         if any(any(v) for v in subs):
             raise ValueError("sub lattice not contained in the trivial ambient lattice")
         return AbelianGroup.trivial()
-    k = len(ambient)
     coords = []
     for v in subs:
         try:
@@ -404,12 +419,7 @@ def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
         if any(c.denominator != 1 for c in x):
             raise ValueError(f"sub-basis vector {v} is not an integer combination")
         coords.append([int(c) for c in x])
-    snf = smith_normal_form(IntMatrix(coords)) if coords else None
-    diag = snf.d.diagonal() if snf else []
-    rank = sum(1 for d in diag if d != 0)
-    if rank < k:
-        raise ValueError("sub lattice has smaller rank; quotient is infinite")
-    return AbelianGroup(tuple(d for d in diag if d > 1))
+    return cokernel(coords, len(ambient))
 
 
 def bordered_lattice_index(vectors, extra) -> int:

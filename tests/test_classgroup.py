@@ -8,6 +8,7 @@ from cuspidal.classgroup import (
     class_group_for_level,
     class_group_pq,
     divisor_in_lattice,
+    divisor_lattice_coordinates,
     eta_unit_divisor_lattice,
     eta_unit_exponent_basis,
     ling_structure,
@@ -16,7 +17,13 @@ from cuspidal.classgroup import (
 from cuspidal.curve import CuspDivisor, divisor_basis, lambda_embedding
 from cuspidal.errors import ScopeError
 from cuspidal.eta import check_modular_function, divisor, pq_generators, prime_power_generators
-from cuspidal.linalg import AbelianGroup, bordered_lattice_index, euler_phi
+from cuspidal.linalg import (
+    AbelianGroup,
+    IntMatrix,
+    bordered_lattice_index,
+    euler_phi,
+    quotient_structure,
+)
 
 
 def test_class_group_examples():
@@ -54,10 +61,22 @@ def test_ling_order_formula():
             assert ling_structure(p, n).order == a**n * b ** (n - 1) * p**k
 
 
+def sum_zero_route(p, n):
+    """C(p^n) by the independent route: the unit divisors and the standard
+    divisor basis embedded in the sum-zero lattice, the coordinates solved
+    exactly over the rationals."""
+    ambient = [lambda_embedding(d, p, n) for d in divisor_basis(p, n)]
+    sub = [lambda_embedding(divisor(h), p, n) for h in prime_power_generators(p, n)]
+    return quotient_structure(ambient, sub)
+
+
 def test_class_group_matches_ling_structure():
-    for p in (5, 7, 11, 13, 17, 19):
-        for n in range(1, 6):
-            assert class_group(p, n).group == ling_structure(p, n), (p, n)
+    cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 9)]
+    cases += [(p, n) for p in (17, 19) for n in range(1, 6)]
+    for p, n in cases:
+        group = class_group(p, n).group
+        assert group == ling_structure(p, n), (p, n)
+        assert group == sum_zero_route(p, n), (p, n)
 
 
 def test_mazur_orders():
@@ -143,8 +162,6 @@ def test_det_u_equals_index_of_divisor_lattice_in_sum_zero_lattice():
             for i in range(n)
         ]
         image = [lambda_embedding(d, p, n) for d in divisor_basis(p, n)]
-        from cuspidal.linalg import quotient_structure
-
         index = quotient_structure(sum_zero_basis, image).order
         assert index == order_matrices(p, n).u.det()
 
@@ -207,6 +224,14 @@ def test_class_group_for_level_dispatch():
     assert class_group_for_level(8).group.is_trivial
     # N = 11^1 certified; N = 2^2 * 3 not
     assert not class_group_for_level(12).certified
+
+
+def test_class_group_for_level_order_equals_det():
+    # |C(N)| = |det| of the unit-lattice coordinate rows (Bareiss, not SNF)
+    for N in (36, 48, 100, 5040):
+        result = class_group_for_level(N)
+        rows = [divisor_lattice_coordinates(E) for E in result.generator_divisors]
+        assert result.order == abs(IntMatrix(rows).det()), N
 
 
 def test_class_group_for_level_known_value():

@@ -57,11 +57,11 @@ def test_delta_matrix_scope():
 
 
 def test_delta_cokernel():
-    assert delta_cokernel(5, 1) == AbelianGroup((3,))
-    assert delta_cokernel(5, 4) == AbelianGroup((3,))
-    assert delta_cokernel(13, 3) == AbelianGroup.trivial()
-    assert delta_cokernel(7, 2) == AbelianGroup((2,))
-    assert delta_cokernel(11, 2) == AbelianGroup((6,))
+    assert delta_cokernel(delta_matrix(5, 1)) == AbelianGroup((3,))
+    assert delta_cokernel(delta_matrix(5, 4)) == AbelianGroup((3,))
+    assert delta_cokernel(delta_matrix(13, 3)) == AbelianGroup.trivial()
+    assert delta_cokernel(delta_matrix(7, 2)) == AbelianGroup((2,))
+    assert delta_cokernel(delta_matrix(11, 2)) == AbelianGroup((6,))
 
 
 def test_delta_kernel_on_cuspidal_trivial():

@@ -8,6 +8,7 @@ from cuspidal.linalg import (
     IntMatrix,
     QmodZ,
     bordered_lattice_index,
+    cokernel,
     congruence_kernel,
     divisors_of,
     euler_phi,
@@ -99,10 +100,20 @@ def test_det_matches_expansion_on_random():
         assert IntMatrix(rows).det() == det_laplace(rows)
 
 
+# Z^2 modulo the span of the given rows, by both routes
+STANDARD_QUOTIENTS = (
+    lambda rows: quotient_structure([[1, 0], [0, 1]], rows),
+    lambda rows: cokernel(rows, 2),
+)
+
+
 def test_quotient_structure_examples():
-    assert quotient_structure([[1, 0], [0, 1]], [[2, 0], [0, 3]]) == AbelianGroup((6,))
-    assert quotient_structure([[1, 0], [0, 1]], [[1, 0], [0, 1]]) == AbelianGroup.trivial()
-    assert quotient_structure([[1, 0], [0, 1]], [[1, 1], [1, -1]]) == AbelianGroup((2,))
+    for quotient in STANDARD_QUOTIENTS:
+        assert quotient([[2, 0], [0, 3]]) == AbelianGroup((6,))
+        assert quotient([[1, 0], [0, 1]]) == AbelianGroup.trivial()
+        assert quotient([[1, 1], [1, -1]]) == AbelianGroup((2,))
+        assert quotient([[2, 0], [0, 3], [4, 3]]) == AbelianGroup((6,))
+    assert cokernel([], 0) == AbelianGroup.trivial()
 
 
 def test_quotient_structure_order_equals_det():
@@ -143,8 +154,15 @@ def test_quotient_structure_element_order_oracle():
 
 
 def test_quotient_structure_errors():
+    for quotient in STANDARD_QUOTIENTS:
+        with pytest.raises(ValueError):
+            quotient([[1, 0]])  # rank drop: infinite quotient
+        with pytest.raises(ValueError):
+            quotient([[1, 2], [2, 4]])  # dependent rows
+        with pytest.raises(ValueError):
+            quotient([])  # empty rows
     with pytest.raises(ValueError):
-        quotient_structure([[1, 0], [0, 1]], [[1, 0]])  # rank drop: infinite quotient
+        cokernel([[1, 0, 0], [0, 1, 0]], 2)  # rows of the wrong length
     with pytest.raises(ValueError):
         quotient_structure([[2, 0], [0, 2]], [[1, 0], [0, 2]])  # not an integer combination
     with pytest.raises(ValueError):

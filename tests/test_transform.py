@@ -22,6 +22,7 @@ from cuspidal.transform import (
     sigma_matrix,
     suggested_height,
 )
+from cuspidal.verify import agrees_with_oracle
 
 
 def test_jacobi_examples():
@@ -195,7 +196,7 @@ def test_leading_coefficients_numeric_certification():
                     sigma = sigma_matrix(p, n, m)
                     exp = cusp_expansion(h, sigma)
                     numeric = numeric_leading_coefficient(h, sigma, exp.order, height=8, terms=200)
-                    assert abs(exp.leading.as_complex() - numeric.value) < 1e-8, (p, n, h, m)
+                    assert agrees_with_oracle(exp.leading.as_complex(), numeric.value), (p, n, h, m)
                     assert numeric.error_estimate < 1e-8
 
 
@@ -257,7 +258,7 @@ def test_pq_leading_coefficients_numeric():
             height = suggested_height(h, sigma)
             numeric = numeric_leading_coefficient(h, sigma, exp.order, height=height)
             symbolic = table[name][level].as_complex()
-            assert abs(abs(symbolic) - abs(numeric.value)) < 1e-8, (name, level)
+            assert agrees_with_oracle(abs(symbolic), abs(numeric.value)), (name, level)
 
 
 def test_numeric_oracle_reports_error_estimate():
@@ -269,6 +270,20 @@ def test_numeric_oracle_reports_error_estimate():
     assert result.error_estimate < 1e-8
     coarse = numeric_leading_coefficient(h, sigma, oac(h, 5), height=4, terms=50)
     assert coarse.error_estimate > result.error_estimate
+
+
+def test_oracle_gate_is_relative():
+    # f = (eta(23)/eta(1))^12 has leading coefficient 23^-6 ~ 6.8e-9 at the
+    # cusp 0 of X0(23); the wrong value 23^-7 is within 1e-8 of the oracle
+    h = prime_power_generators(23, 1)[0]
+    sigma = sigma_matrix(23, 1, 0)
+    exp = cusp_expansion(h, sigma)
+    assert exp.leading == LeadingCoeff.make(0, {23: -12})
+    numeric = numeric_leading_coefficient(h, sigma, exp.order, height=8, terms=200).value
+    assert agrees_with_oracle(exp.leading.as_complex(), numeric)
+    wrong = LeadingCoeff.make(0, {23: -14}).as_complex()
+    assert abs(wrong - numeric) < 1e-8  # the absolute gate alone accepts it
+    assert not agrees_with_oracle(wrong, numeric)
 
 
 def test_cusp_expansion_requires_weight_zero():
