@@ -10,6 +10,7 @@ assertion failures.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -178,7 +179,7 @@ def cmd_leading_coeffs(args):
         for m in range(n + 1):
             sigma = sigma_matrix(p, n, m)
             expansion = cusp_expansion(h, sigma)
-            numeric = numeric_leading_coefficient(h, sigma, expansion.order, height=8, terms=200)
+            numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200)
             symbolic.append(str(expansion.leading))
             residuals.append(f"{abs(expansion.leading.as_complex() - numeric.value):.11e}")
         rows.append({"function": name, "symbolic": symbolic, "numeric_residual": residuals})
@@ -254,14 +255,14 @@ def cmd_torsion(args):
 def cmd_pq(args):
     p, q = args.p, args.q
     group_result = class_group_pq(p, q)
-    kernel_result = pq_delta_kernel(p, q)
+    table = pq_leading_coefficients(p, q)
+    kernel_result = pq_delta_kernel(p, q, table)
     a = (p - 1) * (q + 1) // 24
     b = (p + 1) * (q - 1) // 24
     c = (p - 1) * (q - 1) // 24
-    table = pq_leading_coefficients(p, q)
     levels = (1, p, q, p * q)
     magnitudes = {
-        name: [str(_magnitude(table[name][level])) for level in levels] for name in table
+        name: [str(_magnitude(table[name][level].leading)) for level in levels] for name in table
     }
     results = {
         "a": str(a),
@@ -309,6 +310,7 @@ def cmd_verify(args):
     return {"suite": args.suite}, payload, lines
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cuspidal",

@@ -28,7 +28,7 @@ from .linalg import (
     quotient_structure,
     solve_exact,
 )
-from .transform import cusp_expansion, leading_coefficient, pq_sigma_matrix
+from .transform import leading_coefficient, pq_leading_coefficients
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def evaluate_delta_class(E: CuspDivisor, m: int, h: EtaQuotient):
     return [QmodZ.of(coord, m) for coord in image.coords]
 
 
-def pq_delta_kernel(p: int, q: int) -> TorsionResult:
+def pq_delta_kernel(p: int, q: int, table=None) -> TorsionResult:
     """Kernel of the connecting map on the cuspidal class group of X0(pq)
     for distinct primes p == q == 1 mod 12, with the root-of-unity part and
     order bookkeeping of the generalized Jacobian torsion.
@@ -205,19 +205,18 @@ def pq_delta_kernel(p: int, q: int) -> TorsionResult:
     All four cusps are rational, so the evaluation lattice is free on p and
     q at each of the three non-base cusps; the kernel comes out cyclic of
     order (p-1)(q-1)/24 and the total torsion order is (p-1)(q-1)/3, cyclic
-    up to 2-torsion. The extension itself is not resolved.
+    up to 2-torsion. The extension itself is not resolved. `table` is
+    `pq_leading_coefficients(p, q)`, computed here when not given.
     """
     gens = pq_generators(p, q)
-    names = ("f1", "f2", "f3")
+    if table is None:
+        table = pq_leading_coefficients(p, q)
     N = p * q
     levels = (1, p, q)
     primes = (p, q)
     lc_rows = []
-    for h in gens:
-        lcs = {
-            level: cusp_expansion(h, pq_sigma_matrix(p, q, level)).leading
-            for level in (1, p, q, N)
-        }
+    for name in ("f1", "f2", "f3"):
+        lcs = {level: expansion.leading for level, expansion in table[name].items()}
         for lc in lcs.values():
             foreign = [ell for ell, _ in lc.half_exponents if ell not in primes]
             assert not foreign, f"unexpected primes {foreign} in a pq leading coefficient"

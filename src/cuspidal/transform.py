@@ -15,7 +15,7 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import exp, gcd, log, log1p, pi
 
 import mpmath as mp
 
@@ -287,43 +287,74 @@ def leading_coefficient(h: EtaQuotient, m: int) -> LeadingCoeff:
 
 
 def pq_leading_coefficients(p: int, q: int) -> dict:
-    """Leading coefficients of the three generators f1, f2, f3 on X0(pq) at
-    the four cusps, keyed by generator name and cusp level."""
+    """Cusp expansions (leading coefficient, order and gap) of the three
+    generators f1, f2, f3 on X0(pq) at the four cusps, keyed by generator
+    name and cusp level."""
     from .eta import pq_generators
 
     gens = pq_generators(p, q)
     table = {}
     for name, h in zip(("f1", "f2", "f3"), gens):
         table[name] = {
-            level: cusp_expansion(h, pq_sigma_matrix(p, q, level)).leading
+            level: cusp_expansion(h, pq_sigma_matrix(p, q, level))
             for level in (1, p, q, p * q)
         }
     return table
 
 
-def eta_numeric(z, terms: int = 200):
-    """Dedekind eta at a point of the upper half-plane (mpmath complex).
-
-    The argument is moved into the fundamental domain with integer shifts and
-    inversions before the truncated q-product is evaluated, so any height
-    works; `terms` only controls the final product truncation.
-    """
-    z = mp.mpc(z)
-    if mp.im(z) <= 0:
-        raise ValueError("eta is defined on the upper half-plane")
+def _to_fundamental_domain(z):
+    """(factor, w) with eta(z) = factor * eta(w) and w in the fundamental
+    domain (|Re w| <= 1/2, |w| >= 1), by integer shifts and inversions."""
     factor = mp.mpc(1)
     while True:
         shift = mp.floor(mp.re(z) + mp.mpf("0.5"))
         z -= shift
         factor *= mp.e ** (mp.pi * 1j * shift / 12)
         if abs(z) >= 1:
-            break
+            return factor, z
         z = -1 / z
         factor *= mp.sqrt(z / 1j)
+
+
+# eta_numeric's product stops once its tail bound is below 2^-(prec + this)
+_ETA_GUARD_BITS = 16
+
+
+def _eta_tail_bound(qabs, k):
+    """Bound on |prod_(j > k) (1 - q^j) - 1| for |q| = qabs <= 1/2: the
+    relative error of the q-product of eta stopped after k factors."""
+    return qabs ** (k + 1) / (1 - qabs) ** 2
+
+
+def _eta_factor_count(y, terms):
+    """Number of factors eta_numeric multiplies at Im(z) = y, capped at
+    `terms`: one more than the least K with _eta_tail_bound(|q|, K) below
+    2^-(prec+16) at the current precision. The spare factor absorbs the
+    rounding of the float logarithms; every later factor rounds to 1."""
+    y = float(y)
+    bits = mp.mp.prec + _ETA_GUARD_BITS
+    # with |q| = e^(-2 pi y) the bound holds iff K + 1 > (bits log 2 - 2 log(1 - |q|)) / (2 pi y)
+    k = int((bits * log(2) - 2 * log1p(-exp(-2 * pi * y))) / (2 * pi * y)) + 1
+    return min(terms, k)
+
+
+def eta_numeric(z, terms: int = 200):
+    """Dedekind eta at a point of the upper half-plane (mpmath complex).
+
+    The argument is moved into the fundamental domain with integer shifts and
+    inversions, so |q| <= e^(-pi sqrt(3)) and any height works. The q-product
+    then stops as soon as the remaining factors cannot change the result at
+    the working precision (at most about 24 factors at 50 digits); `terms`
+    caps the number of factors.
+    """
+    z = mp.mpc(z)
+    if mp.im(z) <= 0:
+        raise ValueError("eta is defined on the upper half-plane")
+    factor, z = _to_fundamental_domain(z)
     q = mp.e ** (2j * mp.pi * z)
     product = mp.mpc(1)
     power = mp.mpc(1)
-    for _ in range(terms):
+    for _ in range(_eta_factor_count(mp.im(z), terms)):
         power *= q
         product *= 1 - power
     return factor * mp.e ** (mp.pi * 1j * z / 12) * product
@@ -336,36 +367,39 @@ class NumericLeadingCoeff:
 
 
 def numeric_leading_coefficient(
-    h: EtaQuotient, sigma: SigmaMatrix, order: Fraction, height=8, terms: int = 200
+    h: EtaQuotient, sigma: SigmaMatrix, expansion: CuspExpansion, height=8, terms: int = 200
 ) -> NumericLeadingCoeff:
-    """Floating-point oracle: h(sigma . i*height) normalized by the order-th
-    power of the uniformizer. Converges to the exact leading coefficient as
-    the height grows; the error estimate comes from the next q-power of the
-    expansion and the product truncation."""
+    """Floating-point oracle: h(sigma . i*height) normalized by the
+    `expansion.order`-th power of the uniformizer. Converges to the exact
+    leading coefficient as the height grows; the error estimate comes from
+    the next q-power of the expansion (`expansion.gap`), the truncation of
+    eta_numeric's product and the rounding of the value to a `complex`."""
     if height < 4:
         raise ValueError("height must be at least 4")
     if terms < 50:
         raise ValueError("terms must be at least 50")
-    order = Fraction(order)
+    order, gap = expansion.order, expansion.gap
     with mp.workdps(50):
         tau = mp.mpc(0, height)
         w = sigma.act(tau)
         value = mp.mpc(1)
-        # eta_numeric reduces into the fundamental domain, so |q| <= e^(-pi sqrt(3))
-        qmax = mp.e ** (-mp.pi * mp.sqrt(3))
-        truncation = mp.mpf(0)
         for delta, r in h.exponents:
             value *= eta_numeric(delta * w, terms) ** r
-            truncation += abs(r) * qmax ** (terms + 1) / (1 - qmax)
+        # each product stops where its tail bound is below 2^-(prec+16), or
+        # at `terms` factors; after reduction |q| <= qmax, where the tail
+        # bound after `terms` factors is largest
+        qmax = mp.e ** (-mp.pi * mp.sqrt(3))
+        per_factor = max(mp.mpf(2) ** -(mp.mp.prec + _ETA_GUARD_BITS), _eta_tail_bound(qmax, terms))
+        truncation = sum(abs(r) for _, r in h.exponents) * per_factor
         qtau = mp.e ** (2j * mp.pi * tau)
         value *= qtau ** (-mp.mpf(order.numerator) / order.denominator)
-        gap = cusp_expansion(h, sigma).gap
         next_term = mp.e ** (-2 * mp.pi * height * mp.mpf(gap.numerator) / gap.denominator)
-        estimate = float(abs(value) * (next_term + truncation) + mp.mpf(10) ** (-40))
+        # complex() rounds each part of the value to 53 bits
+        rounding = mp.mpf(2) ** -52
+        estimate = float(abs(value) * (next_term + truncation + rounding) + mp.mpf(10) ** (-40))
         return NumericLeadingCoeff(value=complex(value), error_estimate=estimate)
 
 
-def suggested_height(h: EtaQuotient, sigma: SigmaMatrix) -> int:
+def suggested_height(expansion: CuspExpansion) -> int:
     """A height at which the numeric oracle has converged well past 1e-8."""
-    gap = cusp_expansion(h, sigma).gap
-    return max(8, int(10 / gap) + 1)
+    return max(8, int(10 / expansion.gap) + 1)

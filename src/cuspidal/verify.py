@@ -133,11 +133,13 @@ def closed_form_generator_lc(p, n, gen_index, m) -> LeadingCoeff:
 
 
 def check_leading_coefficient_tables() -> CheckResult:
-    """Exact generator tables for p in {5, 13}, n in {2, 3}, certified
-    numerically at height 8 with 200 product terms, tolerance 1e-8 absolute
-    and relative."""
+    """Exact generator tables for p in {5, 13, 23, 47}, n in {2, 3},
+    certified numerically at height 8 (eta's q-product run to working
+    precision), tolerance 1e-8 absolute and relative. At p = 23 and 47 some
+    entries lie below 1e-8, where only the relative gate can reject a wrong
+    power of p."""
     cases = 0
-    for p in (5, 13):
+    for p in (5, 13, 23, 47):
         for n in (2, 3):
             gens = prime_power_generators(p, n)
             for idx, h in enumerate(gens):
@@ -152,9 +154,7 @@ def check_leading_coefficient_tables() -> CheckResult:
                             False,
                             f"symbolic mismatch at (p, n, gen, m) = ({p}, {n}, {gen_index}, {m})",
                         )
-                    numeric = numeric_leading_coefficient(
-                        h, sigma, expansion.order, height=8, terms=200
-                    )
+                    numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200)
                     if not agrees_with_oracle(expansion.leading.as_complex(), numeric.value):
                         return CheckResult(
                             "leading-coefficient-tables",
@@ -234,23 +234,24 @@ def check_pq_case() -> CheckResult:
         c = (p - 1) * (q - 1) // 24
         if class_group_pq(p, q).order != 4 * a * b * c:
             return CheckResult("pq-case", False, f"class group order fails at ({p}, {q})")
-        kernel = pq_delta_kernel(p, q).kernel
+        table = pq_leading_coefficients(p, q)
+        kernel = pq_delta_kernel(p, q, table).kernel
         if kernel != AbelianGroup((c,)):
             return CheckResult("pq-case", False, f"kernel not cyclic of order {c} at ({p}, {q})")
-        table = pq_leading_coefficients(p, q)
         gens = dict(zip(("f1", "f2", "f3"), pq_generators(p, q)))
         for name, magnitudes in expected_magnitudes.items():
             for idx, level in enumerate((1, p, q, p * q)):
-                lc = table[name][level]
+                expansion = table[name][level]
+                lc = expansion.leading
                 if lc.magnitude_half_exponents != magnitudes(p, q)[idx]:
                     return CheckResult(
                         "pq-case", False, f"magnitude mismatch at {name}, level {level}"
                     )
-                sigma = pq_sigma_matrix(p, q, level)
-                expansion = cusp_expansion(gens[name], sigma)
-                height = suggested_height(gens[name], sigma)
                 numeric = numeric_leading_coefficient(
-                    gens[name], sigma, expansion.order, height=height
+                    gens[name],
+                    pq_sigma_matrix(p, q, level),
+                    expansion,
+                    height=suggested_height(expansion),
                 )
                 if not agrees_with_oracle(abs(lc.as_complex()), abs(numeric.value)):
                     return CheckResult(

@@ -216,3 +216,35 @@ def test_leading_coeffs_command(capsys):
     for row in report["rows"]:
         for residual in row["numeric_residual"]:
             assert float(residual) < 1e-8
+
+
+def test_main_repeated_calls_match_fresh_processes(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cuspidal
+    from cuspidal.cli import build_parser
+
+    assert build_parser() is build_parser()  # built once per process
+    commands = [
+        ("cusps", "12", "--json"),
+        ("class-group", "--p", "7", "--n", "2"),
+        ("class-group", "--p", "7"),  # scope error, exit 2
+        ("frobnicate",),  # usage error, exit 2
+        ("delta", "--p", "5", "--n", "3", "--json"),
+        ("cusps", "12", "--json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cuspidal.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [run_cli(capsys, *argv)[0] for argv in commands] == [0, 0, 2, 2, 0, 0]

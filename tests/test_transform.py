@@ -11,6 +11,9 @@ from cuspidal.linalg import QmodZ
 from cuspidal.transform import (
     LeadingCoeff,
     SigmaMatrix,
+    _eta_factor_count,
+    _eta_tail_bound,
+    _to_fundamental_domain,
     cusp_expansion,
     eta_multiplier,
     eta_numeric,
@@ -111,6 +114,53 @@ def test_eta_numeric_value_at_i():
         assert abs(value - 0.7682254) < 1e-6
 
 
+def _full_product_eta(z):
+    """Reference: the 200-factor q-product after the same reduction."""
+    factor, w = _to_fundamental_domain(mp.mpc(z))
+    q = mp.e ** (2j * mp.pi * w)
+    product = mp.mpc(1)
+    for k in range(1, 201):
+        product *= 1 - q**k
+    return factor * mp.e ** (mp.pi * 1j * w / 12) * product
+
+
+def _stopping_rule_points():
+    rho = mp.e ** (2j * mp.pi / 3)
+    tau = mp.mpc("0.3", "1.1")
+    # (8 tau + 3) / (13 tau + 5) lies near the real axis and needs several
+    # inversions to come back into the fundamental domain
+    return [rho, rho + 1, mp.mpc(0, 1), (8 * tau + 3) / (13 * tau + 5)]
+
+
+@pytest.mark.parametrize("dps", [50, 40])
+def test_eta_numeric_stops_at_working_precision(dps):
+    for z in _stopping_rule_points():
+        with mp.workdps(80):
+            z = mp.mpc(z)
+            reference = _full_product_eta(z)
+        with mp.workdps(dps):
+            value = eta_numeric(z)
+            _, w = _to_fundamental_domain(mp.mpc(z))
+            k = _eta_factor_count(mp.im(w), 200)
+            assert k <= 25
+            qabs = mp.e ** (-2 * mp.pi * mp.im(w))
+            assert _eta_tail_bound(qabs, k) < mp.mpf(2) ** -(mp.mp.prec + 16)
+        # 1e-45 at 50 digits; 40-digit arithmetic itself only reaches ~1e-40
+        assert abs(value - reference) / abs(reference) < mp.mpf(10) ** -(dps - 5), (dps, z)
+
+
+def test_eta_numeric_terms_caps_the_product():
+    with mp.workdps(50):
+        for z in _stopping_rule_points():
+            full = eta_numeric(z)
+            _, w = _to_fundamental_domain(mp.mpc(z))
+            qabs = mp.e ** (-2 * mp.pi * mp.im(w))
+            for cap in (1, 2, 3):
+                capped = eta_numeric(z, terms=cap)
+                change = abs(capped - full) / abs(full)
+                assert 0 < change <= _eta_tail_bound(qabs, cap), (z, cap)
+
+
 def test_sigma_matrix_examples():
     assert sigma_matrix(5, 2, 1).rows == ((1, 0), (5, 1))
     assert sigma_matrix(5, 2, 0).rows == ((-25, -1), (25, 0))
@@ -195,7 +245,7 @@ def test_leading_coefficients_numeric_certification():
                 for m in range(n + 1):
                     sigma = sigma_matrix(p, n, m)
                     exp = cusp_expansion(h, sigma)
-                    numeric = numeric_leading_coefficient(h, sigma, exp.order, height=8, terms=200)
+                    numeric = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200)
                     assert agrees_with_oracle(exp.leading.as_complex(), numeric.value), (p, n, h, m)
                     assert numeric.error_estimate < 1e-8
 
@@ -244,7 +294,7 @@ def test_pq_leading_coefficient_table():
     }
     for name, row in expected.items():
         for level, mags in row.items():
-            assert table[name][level].magnitude_half_exponents == mags, (name, level)
+            assert table[name][level].leading.magnitude_half_exponents == mags, (name, level)
 
 
 def test_pq_leading_coefficients_numeric():
@@ -254,22 +304,48 @@ def test_pq_leading_coefficients_numeric():
     for name, h in gens.items():
         for level in (1, p, q, p * q):
             sigma = pq_sigma_matrix(p, q, level)
-            exp = cusp_expansion(h, sigma)
-            height = suggested_height(h, sigma)
-            numeric = numeric_leading_coefficient(h, sigma, exp.order, height=height)
-            symbolic = table[name][level].as_complex()
+            exp = table[name][level]
+            assert exp == cusp_expansion(h, sigma)
+            numeric = numeric_leading_coefficient(h, sigma, exp, height=suggested_height(exp))
+            symbolic = exp.leading.as_complex()
             assert agrees_with_oracle(abs(symbolic), abs(numeric.value)), (name, level)
 
 
 def test_numeric_oracle_reports_error_estimate():
     h = EtaQuotient.make(25, {5: 6, 1: -6})
     sigma = sigma_matrix(5, 2, 1)
-    from cuspidal.eta import order_at_cusp as oac
-
-    result = numeric_leading_coefficient(h, sigma, oac(h, 5), height=8, terms=200)
+    exp = cusp_expansion(h, sigma)
+    result = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200)
     assert result.error_estimate < 1e-8
-    coarse = numeric_leading_coefficient(h, sigma, oac(h, 5), height=4, terms=50)
+    coarse = numeric_leading_coefficient(h, sigma, exp, height=4, terms=50)
     assert coarse.error_estimate > result.error_estimate
+    # the estimate covers the truncation of each eta factor at the number of
+    # factors eta_numeric actually multiplied
+    with mp.workdps(50):
+        w = sigma.act(mp.mpc(0, 8))
+        truncation = mp.mpf(0)
+        for delta, r in h.exponents:
+            _, z = _to_fundamental_domain(delta * w)
+            k = _eta_factor_count(mp.im(z), 200)
+            truncation += abs(r) * _eta_tail_bound(mp.e ** (-2 * mp.pi * mp.im(z)), k)
+    assert result.error_estimate >= abs(result.value) * truncation
+
+
+def test_numeric_oracle_error_estimate_bounds_the_error():
+    # against the exact leading coefficient evaluated at 50 digits, so the
+    # rounding of the oracle's value to a complex counts as error
+    cases = [(h, sigma_matrix(p, 2, m)) for p in (5, 23) for h in prime_power_generators(p, 2) for m in range(3)]
+    p, q = 13, 37
+    cases += [(h, pq_sigma_matrix(p, q, level)) for h in pq_generators(p, q) for level in (1, p, q, p * q)]
+    for h, sigma in cases:
+        exp = cusp_expansion(h, sigma)
+        numeric = numeric_leading_coefficient(h, sigma, exp, height=suggested_height(exp))
+        with mp.workdps(50):
+            phase = exp.leading.phase.value
+            exact = mp.e ** (2j * mp.pi * mp.mpf(phase.numerator) / phase.denominator)
+            for prime, v in exp.leading.half_exponents:
+                exact *= mp.mpf(prime) ** (mp.mpf(v) / 2)
+            assert abs(exact - mp.mpc(numeric.value)) <= numeric.error_estimate, (h, sigma)
 
 
 def test_oracle_gate_is_relative():
@@ -279,7 +355,7 @@ def test_oracle_gate_is_relative():
     sigma = sigma_matrix(23, 1, 0)
     exp = cusp_expansion(h, sigma)
     assert exp.leading == LeadingCoeff.make(0, {23: -12})
-    numeric = numeric_leading_coefficient(h, sigma, exp.order, height=8, terms=200).value
+    numeric = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200).value
     assert agrees_with_oracle(exp.leading.as_complex(), numeric)
     wrong = LeadingCoeff.make(0, {23: -14}).as_complex()
     assert abs(wrong - numeric) < 1e-8  # the absolute gate alone accepts it
@@ -294,10 +370,11 @@ def test_cusp_expansion_requires_weight_zero():
 def test_numeric_oracle_preconditions():
     h = EtaQuotient.make(5, {5: 6, 1: -6})
     sigma = sigma_matrix(5, 1, 1)
+    exp = cusp_expansion(h, sigma)
     with pytest.raises(ValueError):
-        numeric_leading_coefficient(h, sigma, Fraction(1), height=2)
+        numeric_leading_coefficient(h, sigma, exp, height=2)
     with pytest.raises(ValueError):
-        numeric_leading_coefficient(h, sigma, Fraction(1), terms=10)
+        numeric_leading_coefficient(h, sigma, exp, terms=10)
 
 
 def test_sigma_matrix_rejects_nonpositive_determinant():
