@@ -13,8 +13,8 @@ from .classgroup import (
     ling_structure,
     order_matrices,
 )
-from .curve import Cusp, CuspDivisor, cusps, divisor_basis, lambda_embedding
-from .errors import NotModularError, ScopeError
+from .curve import Cusp, CuspDivisor, cusp_degrees, cusps, divisor_basis, lambda_embedding
+from .errors import InputError, NotModularError, ScopeError
 from .eta import (
     EtaQuotient,
     LigozatReport,

@@ -6,16 +6,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curve import CuspDivisor
-from .errors import ScopeError
+from .curve import CuspDivisor, cusp_degrees
+from .errors import InputError, ScopeError
 from .eta import EtaQuotient, divisor, order_coefficient, pq_generators, prime_power_generators
 from .linalg import (
     AbelianGroup,
     IntMatrix,
     cokernel,
     congruence_kernel,
-    divisors_of,
-    euler_phi,
+    divisor_valuations,
     factorize,
     hermite_row_basis,
     is_prime,
@@ -72,9 +71,11 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
     cokernel of the matrix of these rows over a basis of the unit lattice."""
-    if not E.is_integral() or E.degree() != 0:
+    degrees = cusp_degrees(E.N)
+    coeffs = {d: c.numerator for d, c in E.coefficients}
+    if not E.is_integral() or sum(c * degrees[d] for d, c in coeffs.items()):
         raise ValueError("expected an integral degree-zero divisor")
-    return [int(E.coefficient(d)) for d in divisors_of(E.N)[:-1]]
+    return [coeffs.get(d, 0) for d in degrees if d != E.N]
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
@@ -82,7 +83,7 @@ def class_group(p: int, n: int) -> ClassGroupResult:
     lattice by the lattice of eta-unit divisors."""
     _require_odd_prime_scope(p)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     gen_divisors = tuple(divisor(h) for h in prime_power_generators(p, n))
     group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], n)
     return ClassGroupResult(N=p**n, group=group, generator_divisors=gen_divisors, certified=True)
@@ -93,7 +94,7 @@ def ling_structure(p: int, n: int) -> AbelianGroup:
     explicit product of p-power cyclic factors depending on the parity of n."""
     _require_odd_prime_scope(p)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     a = (p - 1) // gcd(p - 1, 12)
     b = (p + 1) // gcd(p + 1, 12)
     orders = [a] * n + [b] * (n - 1)
@@ -117,20 +118,11 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
     """The matrices M (x24), U, V for X0(p^n)."""
     _require_odd_prime_scope(p)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     N = p**n
-    m24 = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            entry = order_coefficient(N, p**j, p**i)
-            assert entry.denominator == 1
-            row.append(int(entry))
-        m24.append(row)
-    u = [
-        [euler_phi(gcd(p**i, p ** (n - i))) if i == j else 0 for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
+    m24 = [[order_coefficient(N, p**j, p**i) for j in range(n + 1)] for i in range(n + 1)]
+    degrees = list(cusp_degrees(N).values())
+    u = [[degrees[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     c = 24 // gcd(p - 1, 12)
     v = []
     first = [0] * (n + 1)
@@ -154,34 +146,21 @@ def eta_unit_exponent_basis(N: int) -> list:
     form for determinism.
     """
     if N < 2:
-        raise ValueError("N must be at least 2")
-    deltas = divisors_of(N)
-    k = len(deltas)
-    # basis of the weight-zero sublattice: e_i - e_last
-    free_basis = []
-    for i in range(k - 1):
-        vec = [0] * k
-        vec[i], vec[k - 1] = 1, -1
-        free_basis.append(vec)
-    primes = sorted(factorize(N))
+        raise InputError("N must be at least 2")
+    deltas = list(cusp_degrees(N))
+    # in the basis e_i - e_last of the weight-zero sublattice, a weight row w
+    # becomes w_i - w_last, and coordinates x give the exponents (x, -sum x)
     rows = []
     moduli = []
-    for weights, modulus in (
-        ([d % 24 for d in deltas], 24),
-        ([(N // d) % 24 for d in deltas], 24),
-    ):
-        rows.append([sum(w * v for w, v in zip(weights, vec)) for vec in free_basis])
-        moduli.append(modulus)
-    for prime in primes:
-        weights = [factorize(d).get(prime, 0) if d > 1 else 0 for d in deltas]
-        rows.append([sum(w * v for w, v in zip(weights, vec)) % 2 for vec in free_basis])
+    for weights in ([d % 24 for d in deltas], [(N // d) % 24 for d in deltas]):
+        rows.append([w - weights[-1] for w in weights[:-1]])
+        moduli.append(24)
+    for valuations in divisor_valuations(N).values():
+        weights = list(valuations.values())
+        rows.append([(w - weights[-1]) % 2 for w in weights[:-1]])
         moduli.append(2)
     kernel = congruence_kernel(rows, moduli)
-    exponent_vectors = [
-        [sum(x * free_basis[i][j] for i, x in enumerate(coeffs)) for j in range(k)]
-        for coeffs in kernel
-    ]
-    exponent_vectors = hermite_row_basis(exponent_vectors)
+    exponent_vectors = hermite_row_basis([x + [-sum(x)] for x in kernel])
     return [
         EtaQuotient.make(N, {d: r for d, r in zip(deltas, vec)}) for vec in exponent_vectors
     ]
@@ -192,7 +171,7 @@ def eta_unit_divisor_lattice(N: int) -> list:
     quotients on X0(N). For N = p^n with p >= 5 this is the full lattice of
     principal cuspidal divisors."""
     basis = eta_unit_exponent_basis(N)
-    deltas = divisors_of(N)
+    deltas = list(cusp_degrees(N))
     vectors = [[int(x) for x in divisor(h).coefficient_vector()] for h in basis]
     vectors = hermite_row_basis(vectors)
     return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in vectors]
@@ -203,7 +182,7 @@ def class_group_for_level(N: int) -> ClassGroupResult:
     eta-unit lattice is known to fill out all principal cuspidal divisors and
     flagging the result as an upper bound otherwise."""
     if N < 1:
-        raise ValueError("level N must be positive")
+        raise InputError("level N must be positive")
     if N == 1:
         return ClassGroupResult(
             N=1, group=AbelianGroup.trivial(), generator_divisors=(), certified=True
@@ -219,7 +198,7 @@ def class_group_for_level(N: int) -> ClassGroupResult:
             return class_group_pq(p, q)
     lattice = eta_unit_divisor_lattice(N)
     rows = [divisor_lattice_coordinates(E) for E in lattice]
-    group = cokernel(rows, len(divisors_of(N)) - 1)
+    group = cokernel(rows, len(cusp_degrees(N)) - 1)
     return ClassGroupResult(N=N, group=group, generator_divisors=tuple(lattice), certified=False)
 
 

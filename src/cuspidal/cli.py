@@ -5,8 +5,9 @@ report with --json. Reports are deterministic: identical inputs produce
 byte-identical output (timing is only included when --timing is passed,
 since it would break that guarantee).
 
-Exit codes: 0 on success, 2 on scope or usage errors, 1 on internal
-assertion failures.
+Exit codes: 0 on success, 2 on scope or usage errors (`ScopeError`,
+`NotModularError`, `InputError`), 1 on internal failures (an assertion, or
+any other `ValueError` or `ArithmeticError`).
 """
 
 import argparse
@@ -14,10 +15,11 @@ import functools
 import json
 import sys
 import time
+from math import gcd, prod
 
 from .classgroup import class_group, class_group_for_level, class_group_pq, order_matrices
-from .curve import cusps
-from .errors import NotModularError, ScopeError
+from .curve import cusp_degrees, cusps
+from .errors import InputError, NotModularError, ScopeError
 from .eta import EtaQuotient, check_modular_function, divisor, prime_power_generators
 from .jacobian import delta_cokernel, delta_matrix, generalized_torsion, pq_delta_kernel
 from .linalg import divisors_of
@@ -126,16 +128,10 @@ def cmd_class_group(args):
 def cmd_matrices(args):
     mats = order_matrices(args.p, args.n)
     p, n = args.p, args.n
-    from math import gcd
-
     a = (p - 1) // gcd(p - 1, 12)
     b = (p + 1) // gcd(p + 1, 12)
     exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
-    det_u = 1
-    from .linalg import euler_phi
-
-    for i in range(n + 1):
-        det_u *= euler_phi(gcd(p**i, p ** (n - i)))
+    det_u = prod(cusp_degrees(p**n).values())
     claims = {
         "abs_det_v": {
             "value": str(abs(mats.v.det())),
@@ -256,7 +252,7 @@ def cmd_pq(args):
     p, q = args.p, args.q
     group_result = class_group_pq(p, q)
     table = pq_leading_coefficients(p, q)
-    kernel_result = pq_delta_kernel(p, q, table)
+    kernel_result = pq_delta_kernel(p, q, table, group_result.generator_divisors)
     a = (p - 1) * (q + 1) // 24
     b = (p + 1) * (q - 1) // 24
     c = (p - 1) * (q - 1) // 24
@@ -406,9 +402,12 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         inputs, results, lines = args.handler(args)
-    except (ScopeError, NotModularError, ValueError) as exc:
+    except (ScopeError, NotModularError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 1

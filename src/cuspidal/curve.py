@@ -7,10 +7,13 @@ per level carries the whole Galois orbit, with the field degree as its
 multiplicity.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
+from .errors import InputError
 from .linalg import divisors_of, euler_phi
 
 
@@ -23,15 +26,21 @@ class Cusp:
     width: int
 
 
+@functools.lru_cache(maxsize=8)
+def cusp_degrees(N: int):
+    """Read-only map d -> phi(gcd(d, N/d)) from the divisors d of N, in
+    increasing order, to the degrees of the cusps of level d."""
+    if N < 1:
+        raise InputError("level N must be positive")
+    return MappingProxyType({d: euler_phi(gcd(d, N // d)) for d in divisors_of(N)})
+
+
 def cusps(N: int) -> list:
     """All cusps of X0(N), one per positive divisor of N, sorted by level."""
-    if N < 1:
-        raise ValueError("level N must be positive")
-    out = []
-    for d in divisors_of(N):
-        m = gcd(d, N // d)
-        out.append(Cusp(N=N, level=d, conductor=m, degree=euler_phi(m), width=N // gcd(d * d, N)))
-    return out
+    return [
+        Cusp(N=N, level=d, conductor=gcd(d, N // d), degree=phi, width=N // gcd(d * d, N))
+        for d, phi in cusp_degrees(N).items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,11 @@ class CuspDivisor:
 
     @classmethod
     def make(cls, N, coeffs) -> "CuspDivisor":
-        levels = set(divisors_of(N))
+        levels = cusp_degrees(N)
         items = []
         for d, c in sorted(dict(coeffs).items()):
             if d not in levels:
-                raise ValueError(f"{d} is not a divisor of {N}")
+                raise InputError(f"{d} is not a divisor of {N}")
             c = Fraction(c)
             if c != 0:
                 items.append((d, c))
@@ -74,16 +83,16 @@ class CuspDivisor:
     def degree(self) -> Fraction:
         """Degree as a divisor on the curve over Q: coefficients weighted by
         the residue-field degrees of the cusps."""
-        return sum(
-            (c * euler_phi(gcd(d, self.N // d)) for d, c in self.coefficients), Fraction(0)
-        )
+        degrees = cusp_degrees(self.N)
+        return sum((c * degrees[d] for d, c in self.coefficients), Fraction(0))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for _, c in self.coefficients)
 
     def coefficient_vector(self):
         """Coefficients listed over all divisors of N in increasing order."""
-        return [self.coefficient(d) for d in divisors_of(self.N)]
+        coeffs = dict(self.coefficients)
+        return [coeffs.get(d, Fraction(0)) for d in cusp_degrees(self.N)]
 
     def __add__(self, other):
         if not isinstance(other, CuspDivisor) or other.N != self.N:
@@ -130,13 +139,10 @@ def divisor_basis(p: int, n: int) -> list:
     """The standard basis D_0, ..., D_(n-1) of the degree-zero cuspidal
     divisor group on X0(p^n): D_i = Q_(p^i) - phi(gcd(p^i, p^(n-i))) Q_(p^n)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     N = p**n
-    out = []
-    for i in range(n):
-        phi_i = euler_phi(gcd(p**i, p ** (n - i)))
-        out.append(CuspDivisor.make(N, {p**i: 1, N: -phi_i}))
-    return out
+    degrees = cusp_degrees(N)
+    return [CuspDivisor.make(N, {p**i: 1, N: -degrees[p**i]}) for i in range(n)]
 
 
 def lambda_embedding(E: CuspDivisor, p: int, n: int):
@@ -147,15 +153,13 @@ def lambda_embedding(E: CuspDivisor, p: int, n: int):
     """
     N = p**n
     if E.N != N:
-        raise ValueError(f"divisor lives on X0({E.N}), not X0({N})")
+        raise InputError(f"divisor lives on X0({E.N}), not X0({N})")
     if not E.is_integral():
-        raise ValueError("divisor has non-integral coefficients")
+        raise InputError("divisor has non-integral coefficients")
     if E.degree() != 0:
-        raise ValueError("divisor has nonzero degree")
-    coeffs = [E.coefficient(p**i) for i in range(n + 1)]
-    image = [int(coeffs[n])]
-    for i in range(n):
-        phi_i = euler_phi(gcd(p**i, p ** (n - i)))
-        image.append(int(coeffs[i]) * phi_i)
+        raise InputError("divisor has nonzero degree")
+    coeffs = [int(c) for c in E.coefficient_vector()]
+    degrees = list(cusp_degrees(N).values())
+    image = [coeffs[n]] + [c * phi for c, phi in zip(coeffs[:n], degrees)]
     assert sum(image) == 0
     return image

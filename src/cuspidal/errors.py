@@ -6,6 +6,12 @@ class ScopeError(ValueError):
     (for example level p^n with p in {2, 3})."""
 
 
+class InputError(ValueError):
+    """Raised when the caller's arguments are malformed (a level N < 1, an
+    exponent n < 1, a delta that does not divide N, an unparsable eta
+    quotient); the CLI reports it as a usage error."""
+
+
 class NotModularError(ValueError):
     """Raised when an eta quotient fails the Ligozat modularity conditions.
 

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curve import CuspDivisor
-from .errors import NotModularError, ScopeError
-from .linalg import divisors_of, factorize, is_prime
+from .curve import CuspDivisor, cusp_degrees
+from .errors import InputError, NotModularError, ScopeError
+from .linalg import divisor_valuations, divisors_of, is_prime
 
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
@@ -27,12 +27,12 @@ class EtaQuotient:
     @classmethod
     def make(cls, N, exponents) -> "EtaQuotient":
         if N < 1:
-            raise ValueError("level N must be positive")
+            raise InputError("level N must be positive")
         levels = set(divisors_of(N))
         items = []
         for delta, r in sorted(dict(exponents).items()):
             if delta not in levels:
-                raise ValueError(f"{delta} is not a divisor of {N}")
+                raise InputError(f"{delta} is not a divisor of {N}")
             r = int(r)
             if r:
                 items.append((delta, r))
@@ -48,12 +48,12 @@ class EtaQuotient:
         exponents = {}
         rest = text.strip()
         if not rest:
-            raise ValueError("empty eta-quotient expression")
+            raise InputError("empty eta-quotient expression")
         pieces = [piece.strip() for piece in rest.split("*")]
         for piece in pieces:
             match = _ETA_FACTOR.fullmatch(piece)
             if match is None:
-                raise ValueError(f"cannot parse eta factor {piece!r}")
+                raise InputError(f"cannot parse eta factor {piece!r}")
             delta = int(match.group(1))
             r = int(match.group(2)) if match.group(2) is not None else 1
             exponents[delta] = exponents.get(delta, 0) + r
@@ -112,12 +112,10 @@ def check_modular_function(h: EtaQuotient) -> LigozatReport:
     weight = sum(r for _, r in h.exponents)
     sum_delta = sum(r * d for d, r in h.exponents)
     sum_comp = sum(r * (h.N // d) for d, r in h.exponents)
-    square = True
-    for p in factorize(h.N) if h.N > 1 else {}:
-        valuation = sum(r * factorize(d).get(p, 0) for d, r in h.exponents if d > 1)
-        if valuation % 2:
-            square = False
-            break
+    square = all(
+        sum(r * valuations[d] for d, r in h.exponents) % 2 == 0
+        for valuations in divisor_valuations(h.N).values()
+    )
     return LigozatReport(
         weight_zero=(weight == 0),
         square_product=square,
@@ -126,17 +124,24 @@ def check_modular_function(h: EtaQuotient) -> LigozatReport:
     )
 
 
-def order_coefficient(N: int, d: int, delta: int) -> Fraction:
-    """24 times the order of eta(delta*tau) at the level-d cusps of X0(N)."""
-    return Fraction(N * gcd(d, delta) ** 2, gcd(d, N // d) * d * delta)
+def order_coefficient(N: int, d: int, delta: int) -> int:
+    """24 times the order of eta(delta*tau) at the level-d cusps of X0(N)
+    (Ligozat): N gcd(d, delta)^2 / (gcd(d, N/d) d delta), an integer."""
+    order, rest = divmod(N * gcd(d, delta) ** 2, gcd(d, N // d) * d * delta)
+    assert rest == 0, f"24 * order of eta({delta}) at level {d} of X0({N}) is not integral"
+    return order
+
+
+def _order24(h: EtaQuotient, d: int) -> int:
+    """24 times the order of h at the cusps of level d."""
+    return sum(r * order_coefficient(h.N, d, delta) for delta, r in h.exponents)
 
 
 def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
     """Exact order of h at the cusps of level d."""
     if d < 1 or h.N % d != 0:
-        raise ValueError(f"{d} is not a divisor of {h.N}")
-    total = sum((r * order_coefficient(h.N, d, delta) for delta, r in h.exponents), Fraction(0))
-    return total / 24
+        raise InputError(f"{d} is not a divisor of {h.N}")
+    return Fraction(_order24(h, d), 24)
 
 
 def divisor(h: EtaQuotient) -> CuspDivisor:
@@ -145,15 +150,17 @@ def divisor(h: EtaQuotient) -> CuspDivisor:
     if not report.ok:
         raise NotModularError(f"{h} is not a modular function on X0({h.N})", report)
     coeffs = {}
-    for d in divisors_of(h.N):
-        order = order_at_cusp(h, d)
-        if order.denominator != 1:
-            raise AssertionError(f"non-integral order {order} of {h} at level {d}")
+    degree = 0
+    for d, phi in cusp_degrees(h.N).items():
+        total = _order24(h, d)
+        order, rest = divmod(total, 24)
+        if rest:
+            raise AssertionError(f"non-integral order {Fraction(total, 24)} of {h} at level {d}")
         coeffs[d] = order
-    div = CuspDivisor.make(h.N, coeffs)
-    if div.degree() != 0:
-        raise AssertionError(f"divisor of {h} has nonzero degree {div.degree()}")
-    return div
+        degree += order * phi
+    if degree != 0:
+        raise AssertionError(f"divisor of {h} has nonzero degree {degree}")
+    return CuspDivisor.make(h.N, coeffs)
 
 
 def prime_power_generators(p: int, n: int) -> list:
@@ -162,7 +169,7 @@ def prime_power_generators(p: int, n: int) -> list:
     if not is_prime(p) or p < 5:
         raise ScopeError(f"p = {p} is not a prime >= 5")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     N = p**n
     e = 24 // gcd(p - 1, 12)
     gens = [EtaQuotient.make(N, {p: e, 1: -e})]

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .classgroup import divisor_lattice_coordinates
 from .curve import CuspDivisor
-from .errors import ScopeError
+from .errors import InputError, ScopeError
 from .eta import EtaQuotient, divisor, pq_generators, prime_power_generators
 from .linalg import (
     AbelianGroup,
@@ -100,7 +100,7 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     """
     _require_p_at_least_5(p)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     gens = prime_power_generators(p, n)
     rows = [_lambda_image(h, p, n).coords for h in gens]
     return IntMatrix(rows)
@@ -148,7 +148,7 @@ def mu_contribution(p: int, n: int) -> AbelianGroup:
     if not is_prime(p) or p == 2:
         raise ScopeError(f"p = {p} must be an odd prime")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     orders = [2 * p ** min(i, n - i) for i in range(n)]
     return AbelianGroup.from_cyclic_orders(orders)
 
@@ -190,14 +190,14 @@ def evaluate_delta_class(E: CuspDivisor, m: int, h: EtaQuotient):
         raise ScopeError(f"level {E.N} is not a prime power")
     ((p, n),) = factors.items()
     if m < 1:
-        raise ValueError("the annihilator m must be positive")
+        raise InputError("the annihilator m must be positive")
     if divisor(h) != m * E:
-        raise ValueError("div(h) != m * E")
+        raise InputError("div(h) != m * E")
     image = _lambda_image(h, p, n)
     return [QmodZ.of(coord, m) for coord in image.coords]
 
 
-def pq_delta_kernel(p: int, q: int, table=None) -> TorsionResult:
+def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> TorsionResult:
     """Kernel of the connecting map on the cuspidal class group of X0(pq)
     for distinct primes p == q == 1 mod 12, with the root-of-unity part and
     order bookkeeping of the generalized Jacobian torsion.
@@ -206,9 +206,12 @@ def pq_delta_kernel(p: int, q: int, table=None) -> TorsionResult:
     q at each of the three non-base cusps; the kernel comes out cyclic of
     order (p-1)(q-1)/24 and the total torsion order is (p-1)(q-1)/3, cyclic
     up to 2-torsion. The extension itself is not resolved. `table` is
-    `pq_leading_coefficients(p, q)`, computed here when not given.
+    `pq_leading_coefficients(p, q)` and `generator_divisors` the divisors of
+    `pq_generators(p, q)` (as in `class_group_pq`), each computed here when
+    not given.
     """
-    gens = pq_generators(p, q)
+    if generator_divisors is None:
+        generator_divisors = [divisor(h) for h in pq_generators(p, q)]
     if table is None:
         table = pq_leading_coefficients(p, q)
     N = p * q
@@ -227,7 +230,7 @@ def pq_delta_kernel(p: int, q: int, table=None) -> TorsionResult:
                 assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
                 row.append(diff // 2)
         lc_rows.append(row)
-    w = [divisor_lattice_coordinates(divisor(h)) for h in gens]
+    w = [divisor_lattice_coordinates(d) for d in generator_divisors]
     # extension of the evaluation map to all of the divisor lattice: rows
     # delta_tilde(D_j) = (row j of W^-1 . lc_rows), exact rationals
     w_t = [list(col) for col in zip(*w)]
@@ -276,7 +279,7 @@ def split_injection_scope(p: int, m: int) -> SplitInjectionReport:
     if not is_prime(p) or p == 2:
         raise ScopeError(f"p = {p} must be an odd prime")
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InputError("m must be positive")
     return SplitInjectionReport(
         p=p,
         m=m,

@@ -4,8 +4,12 @@ quotients, and invariant factors of finite abelian groups.
 Everything here is exact; no floating point is used anywhere in this module.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+
+from .errors import InputError, ScopeError
 
 
 @dataclass(frozen=True)
@@ -301,25 +305,120 @@ class AbelianGroup:
         return " x ".join(f"Z/{f}" for f in self.invariant_factors)
 
 
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_TRIAL_LIMIT = 256
+# Pollard rho iterations spent on a composite too large to be sure of a factor.
+_RHO_STEPS = 1 << 16
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization {p: exponent} of a positive integer by trial division."""
+    """Prime factorization {p: exponent} of a positive integer: trial division
+    below 256, then perfect-power roots, Miller-Rabin and Pollard rho on what
+    is left. Raises ScopeError for a factor that is a probable prime of 3.3e24
+    or more, which cannot be certified, or a composite factor of that size in
+    which Pollard rho finds no factor within 2^16 steps."""
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise InputError("factorize expects a positive integer")
     out = {}
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p < _TRIAL_LIMIT:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
-    if m > 1:
+    if m > 1 and p * p > m:
         out[m] = out.get(m, 0) + 1
+    elif m > 1:
+        stack = [(m, 1)]
+        while stack:
+            c, k = stack.pop()
+            c, e = _perfect_power(c)
+            if is_prime(c):
+                out[c] = out.get(c, 0) + k * e
+                continue
+            f = _pollard_rho(c, None if _certifiable(c) else _RHO_STEPS)
+            if f is None:
+                raise ScopeError(f"cannot factorize {n}: no factor of {c} found")
+            stack += [(f, k * e), (c // f, k * e)]
+        out = dict(sorted(out.items()))
     return out
 
 
+def _certifiable(n: int) -> bool:
+    """Whether Miller-Rabin with _MR_BASES decides the primality of n, so that
+    a composite n has a factor below 1.9e12 for Pollard rho to find."""
+    return n < _MR_LIMIT
+
+
+def _perfect_power(n: int) -> tuple:
+    """(r, e) with r**e == n and e largest, for n free of primes below 256."""
+    e = 1
+    k = 2
+    while 8 * k < n.bit_length():
+        r = _integer_root(n, k)
+        if r**k == n:
+            n, e = r, e * k
+        else:
+            k += 1
+    return n, e
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 (Newton's method from above)."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_rho(n: int, steps=None):
+    """A proper factor of an odd composite n (Pollard rho, Floyd cycles), or
+    None when none turns up within `steps` iterations (None: no limit)."""
+    budget = itertools.count() if steps is None else iter(range(steps))
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            if next(budget, None) is None:
+                return None
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return g
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin, exact below 3.3e24. Raises ScopeError for a
+    larger n that no base proves composite."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if not _certifiable(n):
+        raise ScopeError(f"cannot certify that {n} is prime (only exact below 3.3e24)")
+    return True
 
 
 def euler_phi(n: int) -> int:
@@ -335,6 +434,17 @@ def divisors_of(n: int) -> list:
     for p, e in factorize(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def divisor_valuations(n: int) -> dict:
+    """{p: {d: v_p(d)}} over the primes p of n and the divisors d of n, both
+    in increasing order, from one factorization."""
+    factors = sorted(factorize(n).items())
+    rows = [(1,)]
+    for p, e in factors:
+        rows = [(row[0] * p**k, *row[1:], k) for row in rows for k in range(e + 1)]
+    rows.sort()
+    return {p: {row[0]: row[i + 1] for row in rows} for i, (p, _) in enumerate(factors)}
 
 
 def solve_exact(rows, rhs):

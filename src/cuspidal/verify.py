@@ -10,14 +10,15 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath as mp
 
 from .classgroup import class_group, class_group_pq, ling_structure, order_matrices
+from .curve import cusp_degrees
 from .eta import EtaQuotient, check_modular_function, divisor, order_at_cusp, pq_generators, prime_power_generators
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
-from .linalg import AbelianGroup, IntMatrix, euler_phi, smith_normal_form
+from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 from .transform import (
     LeadingCoeff,
     cusp_expansion,
@@ -84,10 +85,7 @@ def check_determinant_claims() -> CheckResult:
             exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
             if mats.m24.det() != 24**n * (a * b) ** n * p**exponent:
                 return CheckResult("determinant-claims", False, f"det M fails at ({p}, {n})")
-            det_u = 1
-            for i in range(n + 1):
-                det_u *= euler_phi(gcd(p**i, p ** (n - i)))
-            if mats.u.det() != det_u:
+            if mats.u.det() != prod(cusp_degrees(p**n).values()):
                 return CheckResult("determinant-claims", False, f"det U fails at ({p}, {n})")
             if sum(mats.vmu.row(n)) != (n + 1) * p ** (n - 1) * (p + 1):
                 return CheckResult(
@@ -232,10 +230,11 @@ def check_pq_case() -> CheckResult:
         a = (p - 1) * (q + 1) // 24
         b = (p + 1) * (q - 1) // 24
         c = (p - 1) * (q - 1) // 24
-        if class_group_pq(p, q).order != 4 * a * b * c:
+        group = class_group_pq(p, q)
+        if group.order != 4 * a * b * c:
             return CheckResult("pq-case", False, f"class group order fails at ({p}, {q})")
         table = pq_leading_coefficients(p, q)
-        kernel = pq_delta_kernel(p, q, table).kernel
+        kernel = pq_delta_kernel(p, q, table, group.generator_divisors).kernel
         if kernel != AbelianGroup((c,)):
             return CheckResult("pq-case", False, f"kernel not cyclic of order {c} at ({p}, {q})")
         gens = dict(zip(("f1", "f2", "f3"), pq_generators(p, q)))

@@ -21,7 +21,11 @@ from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
     bordered_lattice_index,
+    congruence_kernel,
+    divisors_of,
     euler_phi,
+    factorize,
+    hermite_row_basis,
     quotient_structure,
 )
 
@@ -33,6 +37,20 @@ def test_class_group_examples():
     result = class_group(5, 4)
     assert result.order == 5**5
     assert result.certified
+    # a level past 3.3e24 whose prime is above the trial-division range
+    assert class_group(257, 11).group.invariant_factors == (
+        64,
+        2752,
+        792952494283066048,
+        792952494283066048,
+        203788791030747974336,
+        203788791030747974336,
+        52373719294902229404352,
+        52373719294902229404352,
+        13460045858789872956918464,
+        13460045858789872956918464,
+        3459231785708997349928045248,
+    )
 
 
 def test_class_group_scope():
@@ -73,6 +91,7 @@ def sum_zero_route(p, n):
 def test_class_group_matches_ling_structure():
     cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 9)]
     cases += [(p, n) for p in (17, 19) for n in range(1, 6)]
+    cases += [(257, 11), (1009, 9), (65537, 6)]
     for p, n in cases:
         group = class_group(p, n).group
         assert group == ling_structure(p, n), (p, n)
@@ -183,6 +202,39 @@ def test_eta_unit_exponent_basis_valid():
         basis = eta_unit_exponent_basis(N)
         for h in basis:
             assert check_modular_function(h).ok, (N, h)
+
+
+def free_basis_exponent_vectors(N):
+    """Reference for eta_unit_exponent_basis: each Ligozat row and each
+    exponent vector expanded over the full weight-zero basis e_i - e_last."""
+    deltas = divisors_of(N)
+    k = len(deltas)
+    free_basis = []
+    for i in range(k - 1):
+        vec = [0] * k
+        vec[i], vec[k - 1] = 1, -1
+        free_basis.append(vec)
+    rows, moduli = [], []
+    for weights in ([d % 24 for d in deltas], [(N // d) % 24 for d in deltas]):
+        rows.append([sum(w * v for w, v in zip(weights, vec)) for vec in free_basis])
+        moduli.append(24)
+    for prime in sorted(factorize(N)):
+        weights = [factorize(d).get(prime, 0) for d in deltas]
+        rows.append([sum(w * v for w, v in zip(weights, vec)) % 2 for vec in free_basis])
+        moduli.append(2)
+    kernel = congruence_kernel(rows, moduli)
+    vectors = [
+        [sum(x * free_basis[i][j] for i, x in enumerate(coeffs)) for j in range(k)]
+        for coeffs in kernel
+    ]
+    return hermite_row_basis(vectors)
+
+
+def test_eta_unit_exponent_basis_matches_free_basis_reference():
+    for N in range(2, 301):
+        basis = eta_unit_exponent_basis(N)
+        vectors = [[h.exponent(d) for d in divisors_of(N)] for h in basis]
+        assert vectors == free_basis_exponent_vectors(N), N
 
 
 def test_eta_unit_divisor_lattice_rank_one():

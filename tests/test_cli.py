@@ -119,6 +119,53 @@ def test_malformed_expression_exit_code(capsys):
     assert "error" in err
 
 
+def test_input_errors_exit_code(capsys):
+    for argv in (
+        ("cusps", "0"),
+        ("class-group", "--N", "0"),
+        ("class-group", "--p", "5", "--n", "0"),
+        ("matrices", "--p", "5", "--n", "0"),
+        ("divisor", "eta(7)", "--level", "5"),
+        ("eta-check", "eta(2)^", "--level", "4"),
+        ("cusps", str(2**89 - 1)),  # a prime beyond the certified range
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: "), argv
+
+
+def test_internal_value_error_exit_code(capsys, monkeypatch):
+    def failing_cokernel(rows, k):
+        raise ValueError("sub lattice has smaller rank; quotient is infinite")
+
+    monkeypatch.setattr("cuspidal.classgroup.cokernel", failing_cokernel)
+    code, out, err = run_cli(capsys, "class-group", "--N", "12")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: sub lattice has smaller rank; quotient is infinite\n"
+
+
+def test_large_prime_level_is_quick():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cuspidal
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "cuspidal.cli", "cusps", "1000000000000000009", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    levels = [c["level"] for c in json.loads(done.stdout)["cusps"]]
+    assert levels == [1, 1000000000000000009]
+
+
 def test_unknown_subcommand_exit_code(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

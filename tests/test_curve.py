@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cuspidal.curve import Cusp, CuspDivisor, cusps, divisor_basis, lambda_embedding
+from cuspidal.curve import Cusp, CuspDivisor, cusp_degrees, cusps, divisor_basis, lambda_embedding
 from cuspidal.linalg import divisors_of, euler_phi, factorize
 
 
@@ -99,6 +99,20 @@ def test_degree_sum_equals_standard_cusp_count():
         total = sum(c.degree for c in cusps(N))
         standard = sum(euler_phi(gcd(d, N // d)) for d in divisors_of(N))
         assert total == standard
+
+
+def test_cusp_degrees_table():
+    for N in list(range(1, 201)) + [5040, 5**20, 13 * 37]:
+        degrees = cusp_degrees(N)
+        assert list(degrees) == divisors_of(N)
+        assert list(degrees.values()) == [c.degree for c in cusps(N)]
+        assert list(degrees.values()) == [euler_phi(gcd(d, N // d)) for d in divisors_of(N)]
+    degrees = cusp_degrees(12)
+    assert cusp_degrees(12) is degrees
+    with pytest.raises(TypeError):
+        degrees[1] = 5
+    with pytest.raises(ValueError):
+        cusp_degrees(0)
 
 
 def test_width_sum_equals_index():

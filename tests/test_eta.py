@@ -12,6 +12,7 @@ from cuspidal.eta import (
     divisor,
     gcd_of_divisor_coefficients,
     order_at_cusp,
+    order_coefficient,
     pq_generators,
     prime_power_generators,
 )
@@ -92,6 +93,53 @@ def test_divisor_pq_example():
     assert divisor(f1) == CuspDivisor.make(p * q, {1: a, p: -a, q: a, p * q: -a})
     assert divisor(f2) == CuspDivisor.make(p * q, {1: b, p: b, q: -b, p * q: -b})
     assert divisor(f3) == CuspDivisor.make(p * q, {1: c, p: -c, q: -c, p * q: c})
+
+
+def ligozat_fraction(N, d, delta):
+    """24 times the order of eta(delta*tau) at level d, as an exact rational."""
+    return Fraction(N * gcd(d, delta) ** 2, gcd(d, N // d) * d * delta)
+
+
+def test_order_coefficient_is_the_integral_ligozat_formula():
+    for N in list(range(1, 401)) + [5040, 27720]:
+        levels = divisors_of(N)
+        for d in levels:
+            for delta in levels:
+                value = order_coefficient(N, d, delta)
+                assert type(value) is int
+                assert value == ligozat_fraction(N, d, delta), (N, d, delta)
+
+
+def fraction_divisor(h):
+    """div h level by level from the rational Ligozat formula."""
+    return {
+        d: sum((r * ligozat_fraction(h.N, d, delta) for delta, r in h.exponents), Fraction(0))
+        / 24
+        for d in divisors_of(h.N)
+    }
+
+
+def test_divisor_matches_rational_ligozat_sum():
+    from cuspidal.classgroup import eta_unit_exponent_basis
+
+    quotients = [h for N in list(range(2, 201)) + [5040] for h in eta_unit_exponent_basis(N)]
+    quotients += [h for p, n in [(5, 6), (7, 4), (13, 3)] for h in prime_power_generators(p, n)]
+    quotients += [h for p, q in [(13, 37), (37, 61)] for h in pq_generators(p, q)]
+    for h in quotients:
+        div = divisor(h)
+        expected = fraction_divisor(h)
+        assert [div.coefficient(d) for d in expected] == list(expected.values()), h
+
+
+def test_divisor_rejects_non_integral_order(monkeypatch):
+    import cuspidal.eta as eta_module
+
+    def shifted(N, d, delta):
+        return order_coefficient(N, d, delta) + (d == 1 and delta == 5)
+
+    monkeypatch.setattr(eta_module, "order_coefficient", shifted)
+    with pytest.raises(AssertionError, match="non-integral order .* at level 1"):
+        divisor(EtaQuotient.make(5, {5: 6, 1: -6}))
 
 
 def test_divisor_rejects_non_modular():

@@ -212,7 +212,9 @@ def test_pq_delta_kernel_scope():
 def test_pq_kernel_order_divides_class_group():
     p, q = 13, 37
     result = pq_delta_kernel(p, q)
-    assert class_group_pq(p, q).order % result.kernel.order == 0
+    group = class_group_pq(p, q)
+    assert group.order % result.kernel.order == 0
+    assert pq_delta_kernel(p, q, generator_divisors=group.generator_divisors) == result
 
 
 def test_split_injection_scope():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal.errors import InputError, ScopeError
 from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
@@ -10,6 +11,7 @@ from cuspidal.linalg import (
     bordered_lattice_index,
     cokernel,
     congruence_kernel,
+    divisor_valuations,
     divisors_of,
     euler_phi,
     express_in_basis,
@@ -239,6 +241,66 @@ def test_arith_helpers():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert euler_phi(1) == 1 and euler_phi(25) == 20 and euler_phi(481) == 12 * 36
     assert divisors_of(12) == [1, 2, 3, 4, 6, 12]
+
+
+def trial_division(n):
+    """Reference factorization by trial division up to sqrt(n)."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_and_is_prime_agree_with_trial_division():
+    for n in range(1, 2 * 10**5):
+        expected = trial_division(n)
+        assert factorize(n) == expected, n
+        assert is_prime(n) == (expected == {n: 1}), n
+
+
+def test_factorize_large_inputs():
+    p, q = 10**9 + 7, 10**9 + 9
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(p * q * 2**5 * 3) == {2: 5, 3: 1, p: 1, q: 1}
+    assert factorize(257**2 * 263**3) == {257: 2, 263: 3}
+    assert factorize(10**18 + 9) == {10**18 + 9: 1}
+    assert list(factorize(q * p * 257)) == [257, p, q]
+    # powers of primes above the trial-division range, however large
+    for prime, exp in ((257, 11), (1009, 9), (65537, 6), (10**9 + 7, 4)):
+        assert factorize(prime**exp) == {prime: exp}
+        assert factorize(3**7 * prime**exp) == {3: 7, prime: exp}
+    assert factorize(257**11 * 263**6) == {257: 11, 263: 6}
+    assert factorize(257**11 * p**3) == {257: 11, p: 3}
+    # beyond 3.3e24 Miller-Rabin with 13 bases no longer certifies a prime
+    big = 2**89 - 1  # a Mersenne prime, about 6.2e26
+    assert not is_prime(big + 2)
+    with pytest.raises(ScopeError):
+        is_prime(big)
+    with pytest.raises(ScopeError):
+        factorize(big)
+    for n in (big**2, big * p):
+        with pytest.raises(ScopeError):
+            factorize(n)
+    # a composite with no factor that Pollard rho finds within its budget
+    with pytest.raises(ScopeError):
+        factorize(big * (2**61 - 1))
+    with pytest.raises(InputError):
+        factorize(0)
+
+
+def test_divisor_valuations():
+    assert divisor_valuations(1) == {}
+    for n in (12, 360, 5**4, 13 * 37, 5040):
+        valuations = divisor_valuations(n)
+        assert list(valuations) == sorted(factorize(n))
+        for p, by_divisor in valuations.items():
+            assert list(by_divisor) == divisors_of(n)
+            assert all(by_divisor[d] == factorize(d).get(p, 0) for d in by_divisor)
 
 
 def test_express_in_basis():
