@@ -21,6 +21,7 @@ from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
     bordered_lattice_index,
+    cokernel,
     congruence_kernel,
     divisors_of,
     euler_phi,
@@ -292,3 +293,41 @@ def test_class_group_for_level_known_value():
     result = class_group_for_level(27)
     assert not result.certified
     assert result.order >= 1
+
+
+# certified levels: p^n with p >= 5, and pq with p == q == 1 mod 12
+CERTIFIED_LEVELS = (
+    [5**n for n in range(1, 9)]
+    + [7**n for n in range(1, 7)]
+    + [13**n for n in range(1, 5)]
+    + [11**3, 17**3, 13 * 37, 37 * 61, 13 * 61]
+)
+
+
+def test_generic_route_gives_the_certified_groups():
+    # class_group_for_level never takes the generic route at these levels, so
+    # run that route by hand and compare with the certified answer
+    for N in CERTIFIED_LEVELS:
+        certified = class_group_for_level(N)
+        assert certified.certified, N
+        rows = [divisor_lattice_coordinates(E) for E in eta_unit_divisor_lattice(N)]
+        assert cokernel(rows, len(divisors_of(N)) - 1) == certified.group, N
+
+
+def per_quotient_divisor_lattice(N):
+    """Reference for eta_unit_divisor_lattice: the divisor of each quotient
+    of the exponent basis, one at a time, then a Hermite basis."""
+    levels = divisors_of(N)
+    divisors = [divisor(h) for h in eta_unit_exponent_basis(N)]
+    vectors = [[int(div.coefficient(d)) for d in levels] for div in divisors]
+    return [CuspDivisor.make(N, dict(zip(levels, v))) for v in hermite_row_basis(vectors)]
+
+
+def test_eta_unit_divisor_lattice_matches_per_quotient_reference():
+    for N in list(range(2, 401)) + [5040]:
+        reference = per_quotient_divisor_lattice(N)
+        result = class_group_for_level(N)
+        if result.certified:
+            assert eta_unit_divisor_lattice(N) == reference, N
+        else:
+            assert list(result.generator_divisors) == reference, N
