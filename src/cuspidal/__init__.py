@@ -20,7 +20,6 @@ from .eta import (
     LigozatReport,
     check_modular_function,
     divisor,
-    gcd_of_divisor_coefficients,
     order_at_cusp,
     pq_generators,
     prime_power_generators,
@@ -43,7 +42,6 @@ from .linalg import (
     IntMatrix,
     QmodZ,
     SmithDecomposition,
-    bordered_lattice_index,
     cokernel,
     quotient_structure,
     smith_normal_form,

@@ -3,12 +3,18 @@ eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities certify the prime-power case."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, ScopeError
-from .eta import EtaQuotient, divisor, order_coefficient, pq_generators, prime_power_generators
+from .eta import (
+    EtaQuotient,
+    _divisor_rows,
+    divisor,
+    order_coefficient,
+    pq_generators,
+    prime_power_generators,
+)
 from .linalg import (
     AbelianGroup,
     IntMatrix,
@@ -71,11 +77,16 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
     cokernel of the matrix of these rows over a basis of the unit lattice."""
-    degrees = cusp_degrees(E.N)
-    coeffs = {d: c.numerator for d, c in E.coefficients}
-    if not E.is_integral() or sum(c * degrees[d] for d, c in coeffs.items()):
+    return _coordinates(E.N, E.coefficient_vector())
+
+
+def _coordinates(N: int, coeffs) -> list:
+    """divisor_lattice_coordinates from the coefficients of a divisor on
+    X0(N) at every level, in increasing order."""
+    degree = sum(c * phi for c, phi in zip(coeffs, cusp_degrees(N).values()))
+    if degree or any(c % 1 for c in coeffs):
         raise ValueError("expected an integral degree-zero divisor")
-    return [coeffs.get(d, 0) for d in degrees if d != E.N]
+    return [int(c) for c in coeffs[:-1]]
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
@@ -136,14 +147,13 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
     return OrderMatrices(p=p, n=n, m24=IntMatrix(m24), u=IntMatrix(u), v=IntMatrix(v))
 
 
-def eta_unit_exponent_basis(N: int) -> list:
-    """Basis (as EtaQuotients) of the lattice of exponent vectors satisfying
-    all four Ligozat conditions on X0(N).
+def _exponent_rows(N: int) -> list:
+    """Hermite basis of the lattice of exponent vectors, over the divisors of
+    N in increasing order, that satisfy all four Ligozat conditions on X0(N).
 
     The weight-zero condition is solved exactly; the two mod-24 congruences
     and the even-valuation conditions (one per prime dividing N) are imposed
-    by a congruence-kernel computation, and the result is put into Hermite
-    form for determinism.
+    by a congruence-kernel computation.
     """
     if N < 2:
         raise InputError("N must be at least 2")
@@ -159,22 +169,33 @@ def eta_unit_exponent_basis(N: int) -> list:
         weights = list(valuations.values())
         rows.append([(w - weights[-1]) % 2 for w in weights[:-1]])
         moduli.append(2)
-    kernel = congruence_kernel(rows, moduli)
-    exponent_vectors = hermite_row_basis([x + [-sum(x)] for x in kernel])
-    return [
-        EtaQuotient.make(N, {d: r for d, r in zip(deltas, vec)}) for vec in exponent_vectors
-    ]
+    # the kernel comes in Hermite form, and the appended column is a linear
+    # function of the others, so the rows stay a Hermite basis
+    return [x + [-sum(x)] for x in congruence_kernel(rows, moduli)]
+
+
+def eta_unit_exponent_basis(N: int) -> list:
+    """Hermite basis (as EtaQuotients) of the lattice of exponent vectors
+    satisfying all four Ligozat conditions on X0(N)."""
+    rows = _exponent_rows(N)
+    deltas = list(cusp_degrees(N))
+    return [EtaQuotient.make(N, dict(zip(deltas, vec))) for vec in rows]
+
+
+def _unit_divisor_rows(N: int) -> list:
+    """Hermite basis of the lattice of eta-unit divisors on X0(N), as integer
+    coefficient rows over the divisors of N in increasing order."""
+    deltas = list(cusp_degrees(N))
+    rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(N)]
+    return hermite_row_basis(_divisor_rows(N, rows))
 
 
 def eta_unit_divisor_lattice(N: int) -> list:
     """Canonical basis of the lattice of divisors of Ligozat-valid eta
     quotients on X0(N). For N = p^n with p >= 5 this is the full lattice of
     principal cuspidal divisors."""
-    basis = eta_unit_exponent_basis(N)
     deltas = list(cusp_degrees(N))
-    vectors = [[int(x) for x in divisor(h).coefficient_vector()] for h in basis]
-    vectors = hermite_row_basis(vectors)
-    return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in vectors]
+    return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in _unit_divisor_rows(N)]
 
 
 def class_group_for_level(N: int) -> ClassGroupResult:
@@ -196,22 +217,8 @@ def class_group_for_level(N: int) -> ClassGroupResult:
         p, q = sorted(factors)
         if p % 12 == 1 and q % 12 == 1:
             return class_group_pq(p, q)
-    lattice = eta_unit_divisor_lattice(N)
-    rows = [divisor_lattice_coordinates(E) for E in lattice]
-    group = cokernel(rows, len(cusp_degrees(N)) - 1)
-    return ClassGroupResult(N=N, group=group, generator_divisors=tuple(lattice), certified=False)
-
-
-def divisor_in_lattice(E: CuspDivisor, basis) -> bool:
-    """Does E lie in the lattice spanned by the given cuspidal divisors?"""
-    if not basis:
-        return all(c == 0 for _, c in E.coefficients)
-    vectors = [[Fraction(x) for x in b.coefficient_vector()] for b in basis]
-    target = [Fraction(x) for x in E.coefficient_vector()]
-    from .linalg import express_in_basis
-
-    try:
-        coords = express_in_basis(vectors, target)
-    except ValueError:
-        return False
-    return all(c.denominator == 1 for c in coords)
+    deltas = list(cusp_degrees(N))
+    rows = _unit_divisor_rows(N)
+    group = cokernel([_coordinates(N, row) for row in rows], len(deltas) - 1)
+    generators = tuple(CuspDivisor.make(N, dict(zip(deltas, row))) for row in rows)
+    return ClassGroupResult(N=N, group=group, generator_divisors=generators, certified=False)

@@ -39,8 +39,20 @@ UNIFORMIZER_NOTE = (
 )
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of an int of any size, in pieces short enough for any
+    int-to-str digit limit (640 or more; 4300 by default, and process-wide)."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 2048:  # at most 617 digits
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
+
+
 def _group_payload(group):
-    return {"invariant_factors": list(group.invariant_factors), "order": str(group.order)}
+    return {"invariant_factors": list(group.invariant_factors), "order": _decimal(group.order)}
 
 
 def _matrix_payload(matrix):
@@ -118,7 +130,7 @@ def cmd_class_group(args):
     lines = [
         f"cuspidal class group of X0({result.N})",
         f"  structure: {result.group}",
-        f"  order:     {result.group.order}",
+        f"  order:     {_decimal(result.group.order)}",
         f"  certified: {'yes' if result.certified else 'no (upper-bound quotient)'}",
     ]
     inputs = {"N": args.N} if args.N is not None else {"p": args.p, "n": args.n}
@@ -200,7 +212,7 @@ def cmd_delta(args):
         f"evaluation matrix for X0({args.p}^{args.n}) "
         "(rows: div f, div g_k; columns: p, sqrt(p*) coordinates)",
         str(matrix),
-        f"cokernel: {cokernel} (order {cokernel.order})",
+        f"cokernel: {cokernel} (order {_decimal(cokernel.order)})",
         f"note: {UNIFORMIZER_NOTE}",
     ]
     return {"p": args.p, "n": args.n}, results, lines
@@ -213,7 +225,7 @@ def cmd_torsion(args):
         p, q = args.pq
         result = pq_delta_kernel(p, q)
         results = {
-            "order": str(result.order),
+            "order": _decimal(result.order),
             "group": None,
             "up_to_2_torsion": _group_payload(result.up_to_2_torsion),
             "kernel": _group_payload(result.kernel),
@@ -223,7 +235,7 @@ def cmd_torsion(args):
         }
         lines = [
             f"generalized-Jacobian torsion for X0({p}*{q})",
-            f"  order:    {result.order}",
+            f"  order:    {_decimal(result.order)}",
             f"  kernel:   {result.kernel}",
             f"  mu part:  {result.mu_part}",
             f"  up to 2-torsion: {result.up_to_2_torsion} (conditional)",
@@ -243,7 +255,7 @@ def cmd_torsion(args):
     lines = [
         f"generalized-Jacobian torsion for X0({args.p}^{args.n})",
         f"  group: {result.group} ({flag})",
-        f"  order: {result.order}",
+        f"  order: {_decimal(result.order)}",
     ]
     return {"p": args.p, "n": args.n}, results, lines
 
@@ -268,16 +280,16 @@ def cmd_pq(args):
         "order_formula_4abc": str(4 * a * b * c),
         "kernel": _group_payload(kernel_result.kernel),
         "mu_part": _group_payload(kernel_result.mu_part),
-        "torsion_order": str(kernel_result.order),
+        "torsion_order": _decimal(kernel_result.order),
         "up_to_2_torsion": _group_payload(kernel_result.up_to_2_torsion),
         "cusp_levels": list(levels),
         "leading_coefficient_magnitudes": magnitudes,
     }
     lines = [
         f"X0({p}*{q}): a = {a}, b = {b}, c = {c}",
-        f"  class group: {group_result.group} (order {group_result.group.order} = 4abc = {4*a*b*c})",
+        f"  class group: {group_result.group} (order {_decimal(group_result.group.order)} = 4abc = {4*a*b*c})",
         f"  connecting-map kernel: {kernel_result.kernel}",
-        f"  torsion order: {kernel_result.order}; {kernel_result.note}",
+        f"  torsion order: {_decimal(kernel_result.order)}; {kernel_result.note}",
         "  leading-coefficient magnitudes (up to sign), cusps "
         + ", ".join(str(level) for level in levels) + ":",
     ]

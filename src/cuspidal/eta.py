@@ -8,7 +8,7 @@ from math import gcd
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, NotModularError, ScopeError
-from .linalg import divisor_valuations, divisors_of, is_prime
+from .linalg import divisor_valuations, is_prime
 
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
@@ -28,7 +28,7 @@ class EtaQuotient:
     def make(cls, N, exponents) -> "EtaQuotient":
         if N < 1:
             raise InputError("level N must be positive")
-        levels = set(divisors_of(N))
+        levels = cusp_degrees(N)
         items = []
         for delta, r in sorted(dict(exponents).items()):
             if delta not in levels:
@@ -109,13 +109,16 @@ def check_modular_function(h: EtaQuotient) -> LigozatReport:
     Quotients passing the test are defined over the rationals; the library
     relies on that fact but has no independent rationality check.
     """
-    weight = sum(r for _, r in h.exponents)
-    sum_delta = sum(r * d for d, r in h.exponents)
-    sum_comp = sum(r * (h.N // d) for d, r in h.exponents)
-    square = all(
-        sum(r * valuations[d] for d, r in h.exponents) % 2 == 0
-        for valuations in divisor_valuations(h.N).values()
-    )
+    return _ligozat(h.N, h.exponents, divisor_valuations(h.N))
+
+
+def _ligozat(N: int, row, valuations) -> LigozatReport:
+    """Ligozat's four conditions for the sparse exponent row ((delta, r), ...)
+    on X0(N), with `valuations` = divisor_valuations(N)."""
+    weight = sum(r for _, r in row)
+    sum_delta = sum(r * d for d, r in row)
+    sum_comp = sum(r * (N // d) for d, r in row)
+    square = all(sum(r * vals[d] for d, r in row) % 2 == 0 for vals in valuations.values())
     return LigozatReport(
         weight_zero=(weight == 0),
         square_product=square,
@@ -132,35 +135,57 @@ def order_coefficient(N: int, d: int, delta: int) -> int:
     return order
 
 
-def _order24(h: EtaQuotient, d: int) -> int:
-    """24 times the order of h at the cusps of level d."""
-    return sum(r * order_coefficient(h.N, d, delta) for delta, r in h.exponents)
+def _orders24(N: int, rows):
+    """24 times the orders, level by level in increasing order, of the eta
+    quotients on X0(N) with the given sparse exponent rows ((delta, r), ...):
+    each row sums r times the column of order_coefficient(N, d, delta) over
+    its nonzero entries, and each column is built once."""
+    levels = list(cusp_degrees(N))
+    columns = {}
+    for row in rows:
+        total = [0] * len(levels)
+        for delta, r in row:
+            if delta not in columns:
+                columns[delta] = [order_coefficient(N, d, delta) for d in levels]
+            total = [t + r * c for t, c in zip(total, columns[delta])]
+        yield total
 
 
 def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
     """Exact order of h at the cusps of level d."""
     if d < 1 or h.N % d != 0:
         raise InputError(f"{d} is not a divisor of {h.N}")
-    return Fraction(_order24(h, d), 24)
+    (orders,) = _orders24(h.N, [h.exponents])
+    return Fraction(orders[list(cusp_degrees(h.N)).index(d)], 24)
+
+
+def _divisor_rows(N: int, rows) -> list:
+    """Integer coefficients, level by level in increasing order, of the
+    divisors of the eta quotients on X0(N) with the given sparse exponent
+    rows, with the checks of `divisor` on each row."""
+    valuations = divisor_valuations(N)
+    degrees = cusp_degrees(N)
+    out = []
+    for row, orders in zip(rows, _orders24(N, rows)):
+        h = EtaQuotient(N, tuple(row))
+        report = _ligozat(N, row, valuations)
+        if not report.ok:
+            raise NotModularError(f"{h} is not a modular function on X0({N})", report)
+        for d, total in zip(degrees, orders):
+            if total % 24:
+                raise AssertionError(f"non-integral order {Fraction(total, 24)} of {h} at level {d}")
+        coeffs = [total // 24 for total in orders]
+        degree = sum(c * phi for c, phi in zip(coeffs, degrees.values()))
+        if degree != 0:
+            raise AssertionError(f"divisor of {h} has nonzero degree {degree}")
+        out.append(coeffs)
+    return out
 
 
 def divisor(h: EtaQuotient) -> CuspDivisor:
     """Divisor of a Ligozat-valid eta quotient, with integer coefficients."""
-    report = check_modular_function(h)
-    if not report.ok:
-        raise NotModularError(f"{h} is not a modular function on X0({h.N})", report)
-    coeffs = {}
-    degree = 0
-    for d, phi in cusp_degrees(h.N).items():
-        total = _order24(h, d)
-        order, rest = divmod(total, 24)
-        if rest:
-            raise AssertionError(f"non-integral order {Fraction(total, 24)} of {h} at level {d}")
-        coeffs[d] = order
-        degree += order * phi
-    if degree != 0:
-        raise AssertionError(f"divisor of {h} has nonzero degree {degree}")
-    return CuspDivisor.make(h.N, coeffs)
+    (coeffs,) = _divisor_rows(h.N, [h.exponents])
+    return CuspDivisor.make(h.N, dict(zip(cusp_degrees(h.N), coeffs)))
 
 
 def prime_power_generators(p: int, n: int) -> list:
@@ -189,11 +214,3 @@ def pq_generators(p: int, q: int) -> list:
         EtaQuotient.make(N, {1: 1, N: 1, p: -1, q: -1}),
     ]
 
-
-def gcd_of_divisor_coefficients(h: EtaQuotient) -> int:
-    """gcd of the (integer) cusp orders of a Ligozat-valid eta quotient."""
-    div = divisor(h)
-    out = 0
-    for _, c in div.coefficients:
-        out = gcd(out, int(c))
-    return out

@@ -168,53 +168,55 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     m = [list(row) for row in a]
     p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    _smith_reduce(m, p, q)
+    return SmithDecomposition(IntMatrix(m), IntMatrix(p), IntMatrix(q))
+
+
+def _smith_reduce(m, p=None, q=()):
+    """Reduce the rows m (lists, changed in place) to Smith form by the
+    pivoting of `smith_normal_form`, applying each row operation to p and
+    each column operation to q too, when they are given."""
+    nr, nc = len(m), len(m[0]) if m else 0
+    row_sets = [m] if p is None else [m, p]
 
     def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
+        for a in row_sets:
+            a[i], a[j] = a[j], a[i]
 
     def add_row(dst, src, mult):
-        m[dst] = [x + mult * y for x, y in zip(m[dst], m[src])]
-        p[dst] = [x + mult * y for x, y in zip(p[dst], p[src])]
+        for a in row_sets:
+            a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
+
+    def swap_cols(i, j):
+        for row in (*m, *q):
+            row[i], row[j] = row[j], row[i]
 
     def add_col(dst, src, mult):
-        for row in m:
+        for row in (*m, *q):
             row[dst] += mult * row[src]
-        for row in q:
-            row[dst] += mult * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        p[i] = [-x for x in p[i]]
 
     def smallest_pivot(t):
-        best = None
+        # the first entry of least absolute value in row-major order
+        best, least = None, 0
         for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+            for j, x in enumerate(m[i][t:], t):
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        return best
         return best
 
-    t = 0
-    while t < min(nr, nc):
-        pos = smallest_pivot(t)
-        if pos is None:
+    for t in range(min(nr, nc)):
+        if smallest_pivot(t) is None:
             break
         while True:
-            pos = smallest_pivot(t)
-            if pos != (t, t):
-                if pos[0] != t:
-                    swap_rows(t, pos[0])
-                if pos[1] != t:
-                    swap_cols(t, pos[1])
+            i, j = smallest_pivot(t)
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
             if m[t][t] < 0:
-                negate_row(t)
+                add_row(t, t, -2)  # negate row t
             for i in range(t + 1, nr):
                 quot = m[i][t] // m[t][t]
                 if quot:
@@ -223,25 +225,13 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 quot = m[t][j] // m[t][t]
                 if quot:
                     add_col(j, t, -quot)
-            if all(m[i][t] == 0 for i in range(t + 1, nr)) and all(
-                m[t][j] == 0 for j in range(t + 1, nc)
-            ):
-                # pivot must divide the rest of the block for the chain condition
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(t + 1, nr)
-                        for j in range(t + 1, nc)
-                        if m[i][j] % m[t][t] != 0
-                    ),
-                    None,
-                )
-                if bad is None:
-                    break
-                add_row(t, bad[0], 1)
-        t += 1
-
-    return SmithDecomposition(IntMatrix(m), IntMatrix(p), IntMatrix(q))
+            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1 :]):
+                continue
+            # pivot must divide the rest of the block for the chain condition
+            bad = [i for i in range(t + 1, nr) if any(x % m[t][t] for x in m[i][t + 1 :])]
+            if not bad:
+                break
+            add_row(t, bad[0], 1)
 
 
 @dataclass(frozen=True)
@@ -493,7 +483,7 @@ def express_in_basis(basis, vector):
 
 def cokernel(rows, k: int) -> AbelianGroup:
     """Structure of Z^k modulo the span of the given integer rows of length k,
-    read off the Smith normal form diagonal.
+    read off the diagonal of a Smith normal form built without transforms.
 
     Raises ValueError when the rows span a lattice of rank below k (the
     quotient is then infinite).
@@ -501,7 +491,8 @@ def cokernel(rows, k: int) -> AbelianGroup:
     rows = [list(v) for v in rows]
     if any(len(v) != k for v in rows):
         raise ValueError(f"rows must have length {k}")
-    diag = smith_normal_form(IntMatrix(rows)).d.diagonal() if rows else []
+    _smith_reduce(rows)
+    diag = [rows[i][i] for i in range(min(len(rows), k))]
     if sum(1 for d in diag if d != 0) < k:
         raise ValueError("sub lattice has smaller rank; quotient is infinite")
     return AbelianGroup(tuple(d for d in diag if d > 1))
@@ -532,32 +523,6 @@ def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
     return cokernel(coords, len(ambient))
 
 
-def bordered_lattice_index(vectors, extra) -> int:
-    """Index of the span of n coordinate-sum-zero vectors inside the full
-    sum-zero lattice of Z^(n+1), computed from one bordered determinant.
-
-    `extra` is any integer vector whose coordinate sum is nonzero. Returns 0
-    when the given vectors are linearly dependent.
-    """
-    vectors = [list(v) for v in vectors]
-    extra = list(extra)
-    n = len(vectors)
-    if any(len(v) != n + 1 for v in vectors) or len(extra) != n + 1:
-        raise ValueError("need n vectors of length n+1 plus one bordering vector")
-    for v in vectors:
-        if sum(v) != 0:
-            raise ValueError(f"vector {v} has nonzero coordinate sum")
-    total = sum(extra)
-    if total == 0:
-        raise ValueError("bordering vector must have nonzero coordinate sum")
-    det = IntMatrix(vectors + [extra]).det()
-    if det == 0:
-        return 0
-    if det % total != 0:
-        raise ArithmeticError("bordered determinant not divisible by the coordinate sum")
-    return abs(det // total)
-
-
 def hermite_row_basis(vectors):
     """Canonical basis (row Hermite form) of the lattice generated by the rows.
 
@@ -570,7 +535,7 @@ def hermite_row_basis(vectors):
         return []
     ncols = len(work[0])
     r = 0
-    for c in range(ncols):
+    for c in range(ncols):  # rows r, r+1, ... are zero before column c
         while True:
             nz = [i for i in range(r, len(work)) if work[i][c] != 0]
             if not nz:
@@ -579,20 +544,22 @@ def hermite_row_basis(vectors):
             work[r], work[i0] = work[i0], work[r]
             if work[r][c] < 0:
                 work[r] = [-x for x in work[r]]
+            pivot = work[r][c:]
             done = True
             for i in range(r + 1, len(work)):
-                quot = work[i][c] // work[r][c]
+                quot = work[i][c] // pivot[0]
                 if quot:
-                    work[i] = [x - quot * y for x, y in zip(work[i], work[r])]
+                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
                 if work[i][c] != 0:
                     done = False
             if done:
                 break
         if any(work[i][c] != 0 for i in range(r, len(work))):
+            pivot = work[r][c:]
             for i in range(r):
-                quot = work[i][c] // work[r][c]
+                quot = work[i][c] // pivot[0]
                 if quot:
-                    work[i] = [x - quot * y for x, y in zip(work[i], work[r])]
+                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
             r += 1
             if r == len(work):
                 break
@@ -617,9 +584,6 @@ def congruence_kernel(rows, moduli):
     bordered = [rows[i] + [moduli[i] if i == j else 0 for j in range(m)] for i in range(m)]
     snf = smith_normal_form(IntMatrix(bordered))
     diag = snf.d.diagonal()
-    kernel_cols = [
-        j for j in range(t + m) if j >= len(diag) or diag[j] == 0
-    ]
-    qt = snf.q.transpose()
-    gens = [list(qt.row(j))[:t] for j in kernel_cols]
+    kernel_cols = [j for j in range(t + m) if j >= len(diag) or diag[j] == 0]
+    gens = [[snf.q[i, j] for i in range(t)] for j in kernel_cols]
     return hermite_row_basis(gens)

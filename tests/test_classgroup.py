@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,7 +8,6 @@ from cuspidal.classgroup import (
     class_group,
     class_group_for_level,
     class_group_pq,
-    divisor_in_lattice,
     divisor_lattice_coordinates,
     eta_unit_divisor_lattice,
     eta_unit_exponent_basis,
@@ -20,15 +20,16 @@ from cuspidal.eta import check_modular_function, divisor, pq_generators, prime_p
 from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
-    bordered_lattice_index,
     cokernel,
     congruence_kernel,
     divisors_of,
     euler_phi,
+    express_in_basis,
     factorize,
     hermite_row_basis,
     quotient_structure,
 )
+from test_linalg import bordered_lattice_index
 
 
 def test_class_group_examples():
@@ -117,6 +118,19 @@ def test_class_group_pq_examples():
     assert result.order == 4 * 31 * 35 * 30 == 130200
     with pytest.raises(ScopeError):
         class_group_pq(13, 17)
+
+
+def divisor_in_lattice(E, basis):
+    """Does E lie in the lattice spanned by the given cuspidal divisors?"""
+    if not basis:
+        return all(c == 0 for _, c in E.coefficients)
+    vectors = [[Fraction(x) for x in b.coefficient_vector()] for b in basis]
+    target = [Fraction(x) for x in E.coefficient_vector()]
+    try:
+        coords = express_in_basis(vectors, target)
+    except ValueError:
+        return False
+    return all(c.denominator == 1 for c in coords)
 
 
 def test_class_group_pq_contains_cyclic_c():

@@ -1,6 +1,7 @@
 import json
 
-from cuspidal.cli import main
+from cuspidal.classgroup import ling_structure
+from cuspidal.cli import _decimal, main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,39 @@ def test_internal_value_error_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "internal error: sub lattice has smaller rank; quotient is infinite\n"
+
+
+def test_decimal_matches_str_below_the_digit_limit():
+    for n in [0, 7, -7, 10**616, 10**617 - 1, -(2**2048), 2**4000 + 1, 3**8000, -(7**5000)]:
+        assert _decimal(n) == str(n), n
+
+
+def test_order_past_4300_digits():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cuspidal
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
+    argv = [sys.executable, "-m", "cuspidal.cli", "class-group", "--p", "5", "--n", "92"]
+    done = subprocess.run(argv + ["--json"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    order = 1
+    for f in report["invariant_factors"]:
+        order *= f
+    assert order == ling_structure(5, 92).order
+    digits = report["order"]
+    # rendered here without str(order): digit count, leading and trailing digits
+    assert 10 ** (len(digits) - 1) <= order < 10 ** len(digits)
+    assert len(digits) > 4300
+    assert digits[:50] == str(order // 10 ** (len(digits) - 50))
+    assert digits[-50:] == str(order % 10**50).zfill(50)
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert f"  order:     {digits}\n" in done.stdout
 
 
 def test_large_prime_level_is_quick():

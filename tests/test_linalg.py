@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -8,7 +10,6 @@ from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
     QmodZ,
-    bordered_lattice_index,
     cokernel,
     congruence_kernel,
     divisor_valuations,
@@ -118,6 +119,37 @@ def test_quotient_structure_examples():
     assert cokernel([], 0) == AbelianGroup.trivial()
 
 
+def determinantal_invariants(rows):
+    """Invariant factors d_k = D_k / D_(k-1), where D_k is the gcd of the
+    k x k minors, up to the rank."""
+    minors_gcd = [1]
+    for size in range(1, min(len(rows), len(rows[0])) + 1):
+        g = 0
+        for rs in combinations(range(len(rows)), size):
+            for cs in combinations(range(len(rows[0])), size):
+                g = gcd(g, IntMatrix([[rows[i][j] for j in cs] for i in rs]).det())
+        if g == 0:
+            break
+        minors_gcd.append(g)
+    return [b // a for a, b in zip(minors_gcd, minors_gcd[1:])]
+
+
+def test_cokernel_matches_determinantal_divisors_and_smith_diagonal():
+    rng = random.Random(2024)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        rows = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        invariants = determinantal_invariants(rows)
+        diagonal = smith_normal_form(IntMatrix(rows)).d.diagonal()
+        assert [d for d in diagonal if d] == invariants, rows
+        if len(invariants) < k:
+            with pytest.raises(ValueError):
+                cokernel(rows, k)
+        else:
+            expected = tuple(d for d in invariants if d > 1)
+            assert cokernel(rows, k).invariant_factors == expected, rows
+
+
 def test_quotient_structure_order_equals_det():
     rng = random.Random(99)
     for _ in range(30):
@@ -169,6 +201,32 @@ def test_quotient_structure_errors():
         quotient_structure([[2, 0], [0, 2]], [[1, 0], [0, 2]])  # not an integer combination
     with pytest.raises(ValueError):
         quotient_structure([[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 0, 0]])  # outside span
+
+
+def bordered_lattice_index(vectors, extra) -> int:
+    """Index of the span of n coordinate-sum-zero vectors inside the full
+    sum-zero lattice of Z^(n+1), computed from one bordered determinant.
+
+    `extra` is any integer vector whose coordinate sum is nonzero. Returns 0
+    when the given vectors are linearly dependent.
+    """
+    vectors = [list(v) for v in vectors]
+    extra = list(extra)
+    n = len(vectors)
+    if any(len(v) != n + 1 for v in vectors) or len(extra) != n + 1:
+        raise ValueError("need n vectors of length n+1 plus one bordering vector")
+    for v in vectors:
+        if sum(v) != 0:
+            raise ValueError(f"vector {v} has nonzero coordinate sum")
+    total = sum(extra)
+    if total == 0:
+        raise ValueError("bordering vector must have nonzero coordinate sum")
+    det = IntMatrix(vectors + [extra]).det()
+    if det == 0:
+        return 0
+    if det % total != 0:
+        raise ArithmeticError("bordered determinant not divisible by the coordinate sum")
+    return abs(det // total)
 
 
 def test_bordered_lattice_index_examples():
