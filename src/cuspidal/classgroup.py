@@ -77,16 +77,17 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
     cokernel of the matrix of these rows over a basis of the unit lattice."""
-    return _coordinates(E.N, E.coefficient_vector())
+    coeffs = dict(E.coefficients)
+    return _coordinates(E.N, [coeffs.get(d, 0) for d in cusp_degrees(E.N)])
 
 
 def _coordinates(N: int, coeffs) -> list:
-    """divisor_lattice_coordinates from the coefficients of a divisor on
-    X0(N) at every level, in increasing order."""
-    degree = sum(c * phi for c, phi in zip(coeffs, cusp_degrees(N).values()))
-    if degree or any(c % 1 for c in coeffs):
+    """divisor_lattice_coordinates from the coefficients at every level, in order."""
+    ints = [c.numerator for c in coeffs]
+    degree = sum(c * phi for c, phi in zip(ints, cusp_degrees(N).values()))
+    if degree or any(c.denominator != 1 for c in coeffs):
         raise ValueError("expected an integral degree-zero divisor")
-    return [int(c) for c in coeffs[:-1]]
+    return ints[:-1]
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:

@@ -136,10 +136,9 @@ def order_coefficient(N: int, d: int, delta: int) -> int:
 
 
 def _orders24(N: int, rows):
-    """24 times the orders, level by level in increasing order, of the eta
-    quotients on X0(N) with the given sparse exponent rows ((delta, r), ...):
-    each row sums r times the column of order_coefficient(N, d, delta) over
-    its nonzero entries, and each column is built once."""
+    """24 times the orders, level by level, of the eta quotients on X0(N) with
+    the given sparse exponent rows ((delta, r), ...): r times the column of
+    order_coefficient(N, d, delta), summed over nonzero entries, each built once."""
     levels = list(cusp_degrees(N))
     columns = {}
     for row in rows:
@@ -162,7 +161,8 @@ def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
 def _divisor_rows(N: int, rows) -> list:
     """Integer coefficients, level by level in increasing order, of the
     divisors of the eta quotients on X0(N) with the given sparse exponent
-    rows, with the checks of `divisor` on each row."""
+    rows. A row failing Ligozat's test raises NotModularError; non-integral
+    orders or a nonzero degree raise AssertionError."""
     valuations = divisor_valuations(N)
     degrees = cusp_degrees(N)
     out = []
