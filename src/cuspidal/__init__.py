@@ -25,7 +25,6 @@ from .eta import (
     prime_power_generators,
 )
 from .jacobian import (
-    LambdaVector,
     SplitInjectionReport,
     TorsionResult,
     delta_cokernel,
@@ -51,12 +50,10 @@ from .transform import (
     LeadingCoeff,
     NumericLeadingCoeff,
     SigmaMatrix,
-    UnitPhase,
     cusp_expansion,
     eta_multiplier,
     eta_numeric,
     jacobi_symbol,
-    leading_coefficient,
     numeric_leading_coefficient,
     pq_leading_coefficients,
     pq_sigma_matrix,

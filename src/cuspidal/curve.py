@@ -14,7 +14,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .errors import InputError
-from .linalg import divisors_of, euler_phi
+from .linalg import factorize
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,13 @@ def cusp_degrees(N: int):
     increasing order, to the degrees of the cusps of level d."""
     if N < 1:
         raise InputError("level N must be positive")
-    return MappingProxyType({d: euler_phi(gcd(d, N // d)) for d in divisors_of(N)})
+    rows = [(1, 1)]
+    for p, e in factorize(N).items():
+        # phi(gcd(d, N/d)) is the product over p^e || N of p^(k-1) (p-1),
+        # k = min(v_p(d), e - v_p(d)), where k > 0
+        local = [(p**v, p ** (min(v, e - v) - 1) * (p - 1) if 0 < v < e else 1) for v in range(e + 1)]
+        rows = [(d * pv, phi * f) for d, phi in rows for pv, f in local]
+    return MappingProxyType(dict(sorted(rows)))
 
 
 def cusps(N: int) -> list:

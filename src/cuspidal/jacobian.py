@@ -11,7 +11,7 @@ cuspidal divisor class group.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classgroup import divisor_lattice_coordinates
 from .curve import CuspDivisor
@@ -28,16 +28,7 @@ from .linalg import (
     quotient_structure,
     solve_exact,
 )
-from .transform import leading_coefficient, pq_leading_coefficients
-
-
-@dataclass(frozen=True)
-class LambdaVector:
-    """Coordinates in the evaluation lattice for level p^n: coordinate 0 is
-    the exponent of p (rational cusp), coordinates 1..n-1 are exponents of
-    sqrt(p*) (cyclotomic cusps)."""
-
-    coords: tuple
+from .transform import cusp_expansion, pq_leading_coefficients, sigma_matrix
 
 
 @dataclass(frozen=True)
@@ -67,17 +58,19 @@ def _require_p_at_least_5(p):
         raise ScopeError(f"p = {p} is not a prime >= 5")
 
 
-def _lambda_image(h: EtaQuotient, p: int, n: int) -> LambdaVector:
-    """Image of div h under the unit-evaluation map, in the basis
-    (p; sqrt(p*), ..., sqrt(p*)): leading coefficient at the base cusp
-    divided by the one at each other cusp, roots of unity discarded."""
-    lcs = [leading_coefficient(h, m) for m in range(n + 1)]
+def _lambda_image(h: EtaQuotient, p: int, sigmas: list) -> tuple:
+    """Image of div h under the unit-evaluation map on X0(p^n), with
+    `sigmas` the uniformizers of the cusps of levels p^0, ..., p^n: the
+    coordinates in the basis (p; sqrt(p*), ..., sqrt(p*)) of the leading
+    coefficient at the base cusp divided by the one at each other cusp,
+    roots of unity discarded."""
+    lcs = [cusp_expansion(h, sigma).leading for sigma in sigmas]
     for lc in lcs:
         foreign = [prime for prime, _ in lc.half_exponents if prime != p]
         assert not foreign, f"unexpected primes {foreign} in a leading coefficient"
-    base = lcs[n].half_exponent(p)
+    base = lcs[-1].half_exponent(p)
     coords = []
-    for i in range(n):
+    for i in range(len(lcs) - 1):
         diff = base - lcs[i].half_exponent(p)
         if i == 0:
             # the base and level-1 cusps are rational: the value is a plain
@@ -86,7 +79,7 @@ def _lambda_image(h: EtaQuotient, p: int, n: int) -> LambdaVector:
             coords.append(diff // 2)
         else:
             coords.append(diff)
-    return LambdaVector(tuple(coords))
+    return tuple(coords)
 
 
 def delta_matrix(p: int, n: int) -> IntMatrix:
@@ -101,9 +94,8 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     _require_p_at_least_5(p)
     if n < 1:
         raise InputError("n must be positive")
-    gens = prime_power_generators(p, n)
-    rows = [_lambda_image(h, p, n).coords for h in gens]
-    return IntMatrix(rows)
+    sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
+    return IntMatrix([_lambda_image(h, p, sigmas) for h in prime_power_generators(p, n)])
 
 
 def delta_cokernel(matrix: IntMatrix) -> AbelianGroup:
@@ -125,20 +117,26 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     by the class of p; the kernel is determined by the least b for which
     b.(class of p) already lies in the image of the integral divisors under
     the rational extension of the map. With x the rational divisor
-    coordinates of the preimage of the class of p, that b is the lcm of the
-    denominators of x, and it divides a'.
+    coordinates of the preimage of the class of p and X = a'.x, which is
+    integral, that b is a'/gcd(a', X), and the kernel is cyclic of order
+    a'/b = gcd(a', X).
     """
     _require_p_at_least_5(p)
     a_prime = 12 // gcd(p - 1, 12)
     dm = delta_matrix(p, n)
+    for i in range(n):
+        for j in range(i, n):
+            if dm[i, j] != ((a_prime if i == 0 else 1) if i == j else 0):
+                raise AssertionError("delta matrix is not lower triangular with diagonal (a', 1, ..., 1)")
+    # dm^T is upper triangular with diagonal (a', 1, ..., 1), so Y = a'.y for
+    # the solution of dm^T.y = e_0 back-substitutes in integers
+    Y = [0] * n
+    for j in reversed(range(n)):
+        rest = sum(dm[i, j] * Y[i] for i in range(j + 1, n))
+        Y[j] = (a_prime - rest) // a_prime if j == 0 else -rest
     w = _unit_matrix_in_divisor_basis(p, n)
-    dm_t = [[dm[i, j] for i in range(n)] for j in range(n)]
-    y = solve_exact(dm_t, [1] + [0] * (n - 1))
-    x = [sum(w[i][j] * y[i] for i in range(n)) for j in range(n)]
-    b = lcm(*(value.denominator for value in x))
-    if a_prime % b:
-        raise AssertionError("a'.lambda must lie in the image of the unit lattice")
-    quotient = a_prime // b
+    X = [sum(w[i][j] * Y[i] for i in range(n)) for j in range(n)]
+    quotient = gcd(a_prime, *X)
     return AbelianGroup((quotient,)) if quotient > 1 else AbelianGroup.trivial()
 
 
@@ -193,8 +191,8 @@ def evaluate_delta_class(E: CuspDivisor, m: int, h: EtaQuotient):
         raise InputError("the annihilator m must be positive")
     if divisor(h) != m * E:
         raise InputError("div(h) != m * E")
-    image = _lambda_image(h, p, n)
-    return [QmodZ.of(coord, m) for coord in image.coords]
+    sigmas = [sigma_matrix(p, n, k) for k in range(n + 1)]
+    return [QmodZ.of(coord, m) for coord in _lambda_image(h, p, sigmas)]
 
 
 def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> TorsionResult:

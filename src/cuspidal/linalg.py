@@ -411,13 +411,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def euler_phi(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out -= out // p
-    return out
-
-
 def divisors_of(n: int) -> list:
     """Positive divisors in increasing order."""
     out = [1]

@@ -15,15 +15,13 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, log, log1p, pi
+from math import exp, gcd, lcm, log, log1p, pi
 
 import mpmath as mp
 
 from .errors import ScopeError
 from .eta import EtaQuotient
 from .linalg import QmodZ, factorize
-
-UnitPhase = QmodZ  # exponent x of a root of unity e^(2*pi*i*x)
 
 
 @dataclass(frozen=True)
@@ -141,6 +139,27 @@ def jacobi_symbol(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
+def _multiplier24(a: int, b: int, c: int, d: int) -> int:
+    """Weber's multiplier formula: the integer m mod 24 with
+    eta_multiplier(a, b, c, d) = m/24, on the sign-canonical representative
+    (c > 0, or c = 0 and d > 0)."""
+    if a * d - b * c != 1:
+        raise ValueError("matrix is not unimodular")
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return b % 24
+    if c % 2 == 1:
+        m = 3 * (1 - c) + b * d * (1 - c * c) + c * (a + d)
+        sign = jacobi_symbol(d, c)
+    elif d % 2 == 1:
+        m = a * c * (1 - d * d) + d * (b - c + 3)
+        sign = jacobi_symbol(c, abs(d))
+    else:
+        raise AssertionError("c and d cannot both be even in SL2(Z)")
+    return (m + 12 * (sign == -1)) % 24
+
+
 def eta_multiplier(a: int, b: int, c: int, d: int) -> QmodZ:
     """Phase x with eta(gamma tau) = e(x) * sqrt((c tau + d)/i) * eta(tau)
     for gamma in SL2(Z) with c != 0, and eta(tau + b) = e(b/24) eta(tau) for
@@ -150,23 +169,7 @@ def eta_multiplier(a: int, b: int, c: int, d: int) -> QmodZ:
     canonical representative (c > 0, or c = 0 and d > 0), so the input is
     canonicalized first; gamma and -gamma act identically.
     """
-    if a * d - b * c != 1:
-        raise ValueError("matrix is not unimodular")
-    if c < 0 or (c == 0 and d < 0):
-        a, b, c, d = -a, -b, -c, -d
-    if c == 0:
-        return QmodZ.of(b, 24)
-    if c % 2 == 1:
-        phase = Fraction(1 - c, 8) + Fraction(b * d * (1 - c * c) + c * (a + d), 24)
-        if jacobi_symbol(d, c) == -1:
-            phase += Fraction(1, 2)
-        return QmodZ.of(phase)
-    if d % 2 == 1:
-        phase = Fraction(a * c * (1 - d * d) + d * (b - c + 3), 24)
-        if jacobi_symbol(c, abs(d)) == -1:
-            phase += Fraction(1, 2)
-        return QmodZ.of(phase)
-    raise AssertionError("c and d cannot both be even in SL2(Z)")
+    return QmodZ.of(_multiplier24(a, b, c, d), 24)
 
 
 def sigma_matrix(p: int, n: int, m: int) -> SigmaMatrix:
@@ -240,50 +243,35 @@ def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
     """
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
-    phase = QmodZ.of(0)
     half = {}
-    order = Fraction(0)
-    gap = None
     sqrt_balance = 0
+    factors = []
     for delta, r in h.exponents:
         gamma, a, b, c = _upper_triangularize(
             delta * sigma.a, delta * sigma.b, sigma.c, sigma.d
         )
-        if gamma[2] == 0:
-            # pure shift: eta(z + k) = e(k/24) eta(z)
-            shift = gamma[0] * gamma[1]
-            phase += r * QmodZ.of(shift, 24)
-        else:
-            phase += r * eta_multiplier(*gamma)
+        # eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w) for
+        # w = (a z + b)/c, or e(m/24) eta(w) if c_gamma = 0, where
+        # eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...)
+        if gamma[2] != 0:
             # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(C);
             # the common-angle parts cancel once the weights balance
             for prime, e in factorize(c).items():
                 half[prime] = half.get(prime, 0) - r * e
             sqrt_balance += r
-        phase += r * QmodZ.of(b, 24 * c)
-        order += r * Fraction(a, 24 * c)
-        step = Fraction(a, c)
-        gap = step if gap is None else min(gap, step)
+        factors.append((r, _multiplier24(*gamma), a, b, c))
     assert sqrt_balance == 0, "square-root factors failed to cancel"
-    if gap is None:
-        gap = Fraction(1)
-    return CuspExpansion(leading=LeadingCoeff.make(phase, half), order=order, gap=gap)
-
-
-def _prime_power_level(N):
-    factors = factorize(N)
-    if len(factors) != 1:
-        raise ScopeError(f"level {N} is not a prime power")
-    ((p, n),) = factors.items()
-    return p, n
-
-
-def leading_coefficient(h: EtaQuotient, m: int) -> LeadingCoeff:
-    """Leading Fourier coefficient of a weight-zero eta quotient on X0(p^n)
-    at the level-p^m cusp, with respect to the standard uniformizer."""
-    p, n = _prime_power_level(h.N)
-    sigma = sigma_matrix(p, n, m)
-    return cusp_expansion(h, sigma).leading
+    # phase, order and gap as integers over the one denominator lcm(c)
+    common = lcm(*(c for *_, c in factors))
+    phase = sum(r * (m * common + b * (common // c)) for r, m, _, b, c in factors)
+    order = sum(r * a * (common // c) for r, _, a, _, c in factors)
+    gap = min((a * (common // c) for _, _, a, _, c in factors), default=common)
+    denominator = 24 * common
+    return CuspExpansion(
+        leading=LeadingCoeff.make(QmodZ(Fraction(phase % denominator, denominator)), half),
+        order=Fraction(order, denominator),
+        gap=Fraction(gap, common),
+    )
 
 
 def pq_leading_coefficients(p: int, q: int) -> dict:

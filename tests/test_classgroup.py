@@ -23,13 +23,12 @@ from cuspidal.linalg import (
     cokernel,
     congruence_kernel,
     divisors_of,
-    euler_phi,
     express_in_basis,
     factorize,
     hermite_row_basis,
     quotient_structure,
 )
-from test_linalg import bordered_lattice_index
+from test_linalg import bordered_lattice_index, euler_phi
 
 
 def test_class_group_examples():

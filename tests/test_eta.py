@@ -15,7 +15,8 @@ from cuspidal.eta import (
     pq_generators,
     prime_power_generators,
 )
-from cuspidal.linalg import divisors_of, euler_phi
+from cuspidal.linalg import divisors_of
+from test_linalg import euler_phi
 
 
 def test_ligozat_f5_passes():

@@ -38,10 +38,13 @@ def test_delta_matrix_examples():
     assert delta_matrix(7, 2) == IntMatrix([[2, 0], [1, 1]])
 
 
+DEEP_DELTA_CASES = [(5, 40), (7, 24), (257, 4)]
+
+
 def test_delta_matrix_closed_form():
-    for p in (5, 7, 11, 13):
-        for n in range(1, 6):
-            assert delta_matrix(p, n) == closed_form_delta_matrix(p, n), (p, n)
+    cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 6)] + DEEP_DELTA_CASES
+    for p, n in cases:
+        assert delta_matrix(p, n) == closed_form_delta_matrix(p, n), (p, n)
 
 
 def test_delta_matrix_determinant():
@@ -65,9 +68,22 @@ def test_delta_cokernel():
 
 
 def test_delta_kernel_on_cuspidal_trivial():
-    for p in (5, 7, 11, 13):
-        for n in range(1, 6):
-            assert delta_kernel_on_cuspidal(p, n).is_trivial, (p, n)
+    cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 6)] + DEEP_DELTA_CASES
+    for p, n in cases:
+        assert delta_kernel_on_cuspidal(p, n).is_trivial, (p, n)
+
+
+# entries above the diagonal, then the corner a' and a unit diagonal entry
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (2, 3), (0, 0), (2, 2)])
+def test_delta_kernel_on_cuspidal_checks_the_triangular_shape(monkeypatch, i, j):
+    import cuspidal.jacobian as jacobian
+
+    p, n = 5, 4
+    rows = [list(row) for row in closed_form_delta_matrix(p, n)]
+    rows[i][j] += 1
+    monkeypatch.setattr(jacobian, "delta_matrix", lambda p, n: IntMatrix(rows))
+    with pytest.raises(AssertionError, match="lower triangular"):
+        jacobian.delta_kernel_on_cuspidal(p, n)
 
 
 def test_delta_kernel_exactness_bookkeeping():
@@ -76,7 +92,7 @@ def test_delta_kernel_exactness_bookkeeping():
     from cuspidal.jacobian import _unit_matrix_in_divisor_basis
     from cuspidal.linalg import congruence_kernel, quotient_structure, solve_exact
 
-    for p, n in [(5, 2), (5, 3), (7, 2), (11, 2), (13, 3)]:
+    for p, n in [(5, 2), (5, 3), (7, 2), (11, 2), (13, 3), (5, 12), (17, 6)]:
         dm = delta_matrix(p, n)
         w = _unit_matrix_in_divisor_basis(p, n)
         w_t = [list(col) for col in zip(*w)]

@@ -14,7 +14,6 @@ from cuspidal.linalg import (
     congruence_kernel,
     divisor_valuations,
     divisors_of,
-    euler_phi,
     express_in_basis,
     factorize,
     hermite_row_basis,
@@ -22,6 +21,15 @@ from cuspidal.linalg import (
     quotient_structure,
     smith_normal_form,
 )
+
+
+def euler_phi(n):
+    """Euler's totient from the factorization of n: the program's cusp
+    degrees are checked against it."""
+    out = n
+    for p in factorize(n):
+        out -= out // p
+    return out
 
 
 def snf_is_valid(a, snf):

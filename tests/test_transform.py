@@ -7,18 +7,19 @@ import pytest
 
 from cuspidal.errors import ScopeError
 from cuspidal.eta import EtaQuotient, order_at_cusp, pq_generators, prime_power_generators
-from cuspidal.linalg import QmodZ
+from cuspidal.linalg import QmodZ, factorize
 from cuspidal.transform import (
+    CuspExpansion,
     LeadingCoeff,
     SigmaMatrix,
     _eta_factor_count,
     _eta_tail_bound,
     _to_fundamental_domain,
+    _upper_triangularize,
     cusp_expansion,
     eta_multiplier,
     eta_numeric,
     jacobi_symbol,
-    leading_coefficient,
     numeric_leading_coefficient,
     pq_leading_coefficients,
     pq_sigma_matrix,
@@ -63,12 +64,8 @@ def test_eta_multiplier_is_24th_root():
         assert 24 % phase.value.denominator == 0
 
 
-def _random_sl2(rng, bound=40):
-    while True:
-        c = rng.randint(-bound, bound)
-        d = rng.randint(-bound, bound)
-        if gcd(c, d) == 1:
-            break
+def _egcd(d, minus_c):
+    """(a, b) with a d - b c = 1, for coprime c and d."""
 
     def egcd(x, y):
         if y == 0:
@@ -76,12 +73,97 @@ def _random_sl2(rng, bound=40):
         u, v, g = egcd(y, x % y)
         return (v, u - (x // y) * v, g)
 
-    u, v, g = egcd(d, -c)
-    a, b = u * g, v * g
+    u, v, g = egcd(d, minus_c)
+    return u * g, v * g
+
+
+def _random_sl2(rng, bound=40):
+    while True:
+        c = rng.randint(-bound, bound)
+        d = rng.randint(-bound, bound)
+        if gcd(c, d) == 1:
+            break
+
+    a, b = _egcd(d, -c)
     t = rng.randint(-4, 4)
     a, b = a + t * c, b + t * d
     assert a * d - b * c == 1
     return a, b, c, d
+
+
+def reference_eta_multiplier(a, b, c, d):
+    """Weber's formula with one Fraction per term, as the program computed
+    it before the integer multiplier."""
+    if a * d - b * c != 1:
+        raise ValueError("matrix is not unimodular")
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return QmodZ.of(b, 24)
+    if c % 2 == 1:
+        phase = Fraction(1 - c, 8) + Fraction(b * d * (1 - c * c) + c * (a + d), 24)
+        if jacobi_symbol(d, c) == -1:
+            phase += Fraction(1, 2)
+        return QmodZ.of(phase)
+    if d % 2 == 1:
+        phase = Fraction(a * c * (1 - d * d) + d * (b - c + 3), 24)
+        if jacobi_symbol(c, abs(d)) == -1:
+            phase += Fraction(1, 2)
+        return QmodZ.of(phase)
+    raise AssertionError("c and d cannot both be even in SL2(Z)")
+
+
+def reference_cusp_expansion(h, sigma):
+    """The per-factor Fraction and QmodZ accumulation that cusp_expansion
+    used before it summed over one denominator."""
+    phase = QmodZ.of(0)
+    half = {}
+    order = Fraction(0)
+    gap = None
+    for delta, r in h.exponents:
+        gamma, a, b, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
+        if gamma[2] == 0:
+            phase += r * QmodZ.of(gamma[0] * gamma[1], 24)
+        else:
+            phase += r * reference_eta_multiplier(*gamma)
+            for prime, e in factorize(c).items():
+                half[prime] = half.get(prime, 0) - r * e
+        phase += r * QmodZ.of(b, 24 * c)
+        order += r * Fraction(a, 24 * c)
+        step = Fraction(a, c)
+        gap = step if gap is None else min(gap, step)
+    if gap is None:
+        gap = Fraction(1)
+    return CuspExpansion(leading=LeadingCoeff.make(phase, half), order=order, gap=gap)
+
+
+def test_eta_multiplier_matches_fraction_reference():
+    checked = 0
+    for c in range(-40, 41):
+        for d in range(-40, 41):
+            if gcd(c, d) != 1:
+                continue
+            u, v = _egcd(d, -c)
+            for t in range(-2, 3):
+                a, b = u + t * c, v + t * d
+                assert eta_multiplier(a, b, c, d) == reference_eta_multiplier(a, b, c, d), (a, b, c, d)
+                checked += 1
+    assert checked == 5 * 3920  # coprime pairs (c, d) with |c|, |d| <= 40
+
+
+def test_cusp_expansion_matches_fraction_reference():
+    cases = []
+    for p in (5, 7, 13, 23, 47, 257):
+        for n in range(1, 7):
+            sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
+            cases += [(h, sigma) for h in prime_power_generators(p, n) for sigma in sigmas]
+    for p, q in ((13, 37), (13, 61), (37, 61), (13, 73), (13, 97), (13, 1093)):
+        sigmas = [pq_sigma_matrix(p, q, level) for level in (1, p, q, p * q)]
+        cases += [(h, sigma) for h in pq_generators(p, q) for sigma in sigmas]
+    assert len(cases) == 6 * sum(n * (n + 1) for n in range(1, 7)) + 6 * 3 * 4
+    for h, sigma in cases:
+        got, expected = cusp_expansion(h, sigma), reference_cusp_expansion(h, sigma)
+        assert (got.leading, got.order, got.gap) == (expected.leading, expected.order, expected.gap), (h, sigma)
 
 
 def test_eta_transformation_identity_numeric():
@@ -232,7 +314,7 @@ def test_leading_coefficients_match_closed_form_tables():
             for idx, h in enumerate(gens):
                 gen_index = -1 if idx == 0 else idx - 1
                 for m in range(n + 1):
-                    got = leading_coefficient(h, m)
+                    got = cusp_expansion(h, sigma_matrix(p, n, m)).leading
                     expected = expected_generator_lc(p, n, gen_index, m)
                     assert got == expected, (p, n, gen_index, m)
 
@@ -262,6 +344,10 @@ def test_cusp_expansion_order_matches_eta_module():
 def test_leading_coefficient_multiplicative():
     p, n = 5, 3
     f, g0, g1 = prime_power_generators(p, n)
+
+    def leading_coefficient(h, m):
+        return cusp_expansion(h, sigma_matrix(p, n, m)).leading
+
     for m in range(n + 1):
         lhs = leading_coefficient(f * g0, m)
         rhs = leading_coefficient(f, m) * leading_coefficient(g0, m)
