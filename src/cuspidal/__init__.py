@@ -13,7 +13,7 @@ from .classgroup import (
     ling_structure,
     order_matrices,
 )
-from .curve import Cusp, CuspDivisor, cusp_degrees, cusps, divisor_basis, lambda_embedding
+from .curve import Cusp, CuspDivisor, cusp_degrees, cusps
 from .errors import InputError, NotModularError, ScopeError
 from .eta import (
     EtaQuotient,
@@ -25,16 +25,13 @@ from .eta import (
     prime_power_generators,
 )
 from .jacobian import (
-    SplitInjectionReport,
     TorsionResult,
     delta_cokernel,
     delta_kernel_on_cuspidal,
     delta_matrix,
-    evaluate_delta_class,
     generalized_torsion,
     mu_contribution,
     pq_delta_kernel,
-    split_injection_scope,
 )
 from .linalg import (
     AbelianGroup,
@@ -42,7 +39,6 @@ from .linalg import (
     QmodZ,
     SmithDecomposition,
     cokernel,
-    quotient_structure,
     smith_normal_form,
 )
 from .transform import (

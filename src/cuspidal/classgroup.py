@@ -3,7 +3,7 @@ eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities certify the prime-power case."""
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, ScopeError
@@ -73,7 +73,7 @@ def _require_odd_prime_scope(p):
 
 
 def divisor_lattice_coordinates(E: CuspDivisor):
-    """Coordinates of an integral degree-zero cuspidal divisor in the basis
+    """Coordinates of a degree-zero cuspidal divisor in the basis
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
     cokernel of the matrix of these rows over a basis of the unit lattice."""
@@ -83,11 +83,9 @@ def divisor_lattice_coordinates(E: CuspDivisor):
 
 def _coordinates(N: int, coeffs) -> list:
     """divisor_lattice_coordinates from the coefficients at every level, in order."""
-    ints = [c.numerator for c in coeffs]
-    degree = sum(c * phi for c, phi in zip(ints, cusp_degrees(N).values()))
-    if degree or any(c.denominator != 1 for c in coeffs):
-        raise ValueError("expected an integral degree-zero divisor")
-    return ints[:-1]
+    if sum(c * phi for c, phi in zip(coeffs, cusp_degrees(N).values())):
+        raise ValueError("expected a degree-zero divisor")
+    return coeffs[:-1]
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
@@ -146,6 +144,22 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
         v.append(row)
     v.append([1] * (n + 1))
     return OrderMatrices(p=p, n=n, m24=IntMatrix(m24), u=IntMatrix(u), v=IntMatrix(v))
+
+
+def determinant_claims(mats: OrderMatrices) -> dict:
+    """The four identities of the order matrices of X0(p^n), as name ->
+    (value, closed form): |det V|, det(24M), det U and the last-row sum of
+    VMU."""
+    p, n = mats.p, mats.n
+    a = (p - 1) // gcd(p - 1, 12)
+    b = (p + 1) // gcd(p + 1, 12)
+    exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
+    return {
+        "abs_det_v": (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12)),
+        "det_m_times_24": (mats.m24.det(), 24**n * (a * b) ** n * p**exponent),
+        "det_u": (mats.u.det(), prod(cusp_degrees(p**n).values())),
+        "vmu_last_row_sum": (sum(mats.vmu.row(n)), (n + 1) * p ** (n - 1) * (p + 1)),
+    }
 
 
 def _exponent_rows(N: int) -> list:

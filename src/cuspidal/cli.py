@@ -15,10 +15,9 @@ import functools
 import json
 import sys
 import time
-from math import gcd, prod
 
-from .classgroup import class_group, class_group_for_level, class_group_pq, order_matrices
-from .curve import cusp_degrees, cusps
+from .classgroup import class_group, class_group_for_level, class_group_pq, determinant_claims, order_matrices
+from .curve import cusps
 from .errors import InputError, NotModularError, ScopeError
 from .eta import EtaQuotient, check_modular_function, divisor, prime_power_generators
 from .jacobian import delta_cokernel, delta_matrix, generalized_torsion, pq_delta_kernel
@@ -140,27 +139,10 @@ def cmd_class_group(args):
 def cmd_matrices(args):
     mats = order_matrices(args.p, args.n)
     p, n = args.p, args.n
-    a = (p - 1) // gcd(p - 1, 12)
-    b = (p + 1) // gcd(p + 1, 12)
-    exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
-    det_u = prod(cusp_degrees(p**n).values())
     claims = {
-        "abs_det_v": {
-            "value": str(abs(mats.v.det())),
-            "expected": str(24 * (n + 1) // gcd(p - 1, 12)),
-        },
-        "det_m_times_24": {
-            "value": str(mats.m24.det()),
-            "expected": str(24**n * (a * b) ** n * p**exponent),
-        },
-        "det_u": {"value": str(mats.u.det()), "expected": str(det_u)},
-        "vmu_last_row_sum": {
-            "value": str(sum(mats.vmu.row(n))),
-            "expected": str((n + 1) * p ** (n - 1) * (p + 1)),
-        },
+        name: {"value": str(value), "expected": str(expected), "ok": value == expected}
+        for name, (value, expected) in determinant_claims(mats).items()
     }
-    for claim in claims.values():
-        claim["ok"] = claim["value"] == claim["expected"]
     results = {
         "m_times_24": _matrix_payload(mats.m24),
         "u": _matrix_payload(mats.u),

@@ -9,7 +9,6 @@ multiplicity.
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
@@ -53,8 +52,8 @@ def cusps(N: int) -> list:
 class CuspDivisor:
     """A divisor supported on the cusps of X0(N), as a map level -> coefficient.
 
-    Coefficients are exact rationals; elements of the cuspidal divisor group
-    proper are integral of degree zero.
+    Coefficients are integers; elements of the cuspidal divisor group proper
+    have degree zero.
     """
 
     N: int
@@ -67,45 +66,39 @@ class CuspDivisor:
         for d, c in sorted(dict(coeffs).items()):
             if d not in levels:
                 raise InputError(f"{d} is not a divisor of {N}")
-            c = Fraction(c)
-            if c != 0:
-                items.append((d, c))
+            r = int(c)
+            if r != c:
+                raise InputError(f"coefficient {c} at level {d} is not an integer")
+            if r:
+                items.append((d, r))
         return cls(N, tuple(items))
 
     @classmethod
     def zero(cls, N) -> "CuspDivisor":
         return cls(N, ())
 
-    def coefficient(self, d) -> Fraction:
+    def coefficient(self, d) -> int:
         for level, c in self.coefficients:
             if level == d:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def support(self):
         return tuple(d for d, _ in self.coefficients)
 
-    def degree(self) -> Fraction:
+    def degree(self) -> int:
         """Degree as a divisor on the curve over Q: coefficients weighted by
         the residue-field degrees of the cusps."""
         degrees = cusp_degrees(self.N)
-        return sum((c * degrees[d] for d, c in self.coefficients), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.coefficients)
-
-    def coefficient_vector(self):
-        """Coefficients listed over all divisors of N in increasing order."""
-        coeffs = dict(self.coefficients)
-        return [coeffs.get(d, Fraction(0)) for d in cusp_degrees(self.N)]
+        return sum(c * degrees[d] for d, c in self.coefficients)
 
     def __add__(self, other):
         if not isinstance(other, CuspDivisor) or other.N != self.N:
             return NotImplemented
         merged = dict(self.coefficients)
         for d, c in other.coefficients:
-            merged[d] = merged.get(d, Fraction(0)) + c
+            merged[d] = merged.get(d, 0) + c
         return CuspDivisor.make(self.N, merged)
 
     def __neg__(self):
@@ -116,10 +109,7 @@ class CuspDivisor:
         return self + neg
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return CuspDivisor.zero(self.N)
-        return CuspDivisor(self.N, tuple((d, c * scalar) for d, c in self.coefficients))
+        return CuspDivisor.make(self.N, {d: c * scalar for d, c in self.coefficients})
 
     __rmul__ = __mul__
 
@@ -139,33 +129,3 @@ class CuspDivisor:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
-
-
-def divisor_basis(p: int, n: int) -> list:
-    """The standard basis D_0, ..., D_(n-1) of the degree-zero cuspidal
-    divisor group on X0(p^n): D_i = Q_(p^i) - phi(gcd(p^i, p^(n-i))) Q_(p^n)."""
-    if n < 1:
-        raise InputError("n must be positive")
-    N = p**n
-    degrees = cusp_degrees(N)
-    return [CuspDivisor.make(N, {p**i: 1, N: -degrees[p**i]}) for i in range(n)]
-
-
-def lambda_embedding(E: CuspDivisor, p: int, n: int):
-    """Embed an integral degree-zero cuspidal divisor on X0(p^n) into the
-    coordinate-sum-zero lattice of Z^(n+1).
-
-    The basis divisor D_i maps to phi(gcd(p^i, p^(n-i))) (e_(i+1) - e_0).
-    """
-    N = p**n
-    if E.N != N:
-        raise InputError(f"divisor lives on X0({E.N}), not X0({N})")
-    if not E.is_integral():
-        raise InputError("divisor has non-integral coefficients")
-    if E.degree() != 0:
-        raise InputError("divisor has nonzero degree")
-    coeffs = [int(c) for c in E.coefficient_vector()]
-    degrees = list(cusp_degrees(N).values())
-    image = [coeffs[n]] + [c * phi for c, phi in zip(coeffs[:n], degrees)]
-    assert sum(image) == 0
-    return image

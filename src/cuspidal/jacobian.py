@@ -10,24 +10,12 @@ cuspidal divisor class group.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .classgroup import divisor_lattice_coordinates
-from .curve import CuspDivisor
 from .errors import InputError, ScopeError
 from .eta import EtaQuotient, divisor, pq_generators, prime_power_generators
-from .linalg import (
-    AbelianGroup,
-    IntMatrix,
-    QmodZ,
-    cokernel,
-    congruence_kernel,
-    factorize,
-    is_prime,
-    quotient_structure,
-    solve_exact,
-)
+from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, is_prime
 from .transform import cusp_expansion, pq_leading_coefficients, sigma_matrix
 
 
@@ -56,6 +44,18 @@ class TorsionResult:
 def _require_p_at_least_5(p):
     if not is_prime(p) or p < 5:
         raise ScopeError(f"p = {p} is not a prime >= 5")
+
+
+def _adjugate(rows) -> tuple:
+    """(adj(A), det(A)) of a square integer matrix A, given by its rows,
+    from its minors: A . adj(A) = det(A) . I."""
+    n = len(rows)
+
+    def minor(i, j):
+        return IntMatrix([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]).det()
+
+    adj = [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
+    return adj, sum(x * adj[j][0] for j, x in enumerate(rows[0]))
 
 
 def _lambda_image(h: EtaQuotient, p: int, sigmas: list) -> tuple:
@@ -104,11 +104,6 @@ def delta_cokernel(matrix: IntMatrix) -> AbelianGroup:
     return cokernel(matrix, matrix.ncols)
 
 
-def _unit_matrix_in_divisor_basis(p, n):
-    """Rows: div f, div g_k in the coordinates of the basis D_0..D_(n-1)."""
-    return [divisor_lattice_coordinates(divisor(h)) for h in prime_power_generators(p, n)]
-
-
 def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     """Kernel of the connecting map restricted to the cuspidal divisor class
     group of X0(p^n).
@@ -120,6 +115,10 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     coordinates of the preimage of the class of p and X = a'.x, which is
     integral, that b is a'/gcd(a', X), and the kernel is cyclic of order
     a'/b = gcd(a', X).
+
+    The evaluation matrix dm must be lower triangular with diagonal
+    (a', 1, ..., 1). Then dm^T.y = e_0 back-substitutes to a'.y = e_0, so X
+    is the coordinate row of div f.
     """
     _require_p_at_least_5(p)
     a_prime = 12 // gcd(p - 1, 12)
@@ -128,15 +127,8 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
         for j in range(i, n):
             if dm[i, j] != ((a_prime if i == 0 else 1) if i == j else 0):
                 raise AssertionError("delta matrix is not lower triangular with diagonal (a', 1, ..., 1)")
-    # dm^T is upper triangular with diagonal (a', 1, ..., 1), so Y = a'.y for
-    # the solution of dm^T.y = e_0 back-substitutes in integers
-    Y = [0] * n
-    for j in reversed(range(n)):
-        rest = sum(dm[i, j] * Y[i] for i in range(j + 1, n))
-        Y[j] = (a_prime - rest) // a_prime if j == 0 else -rest
-    w = _unit_matrix_in_divisor_basis(p, n)
-    X = [sum(w[i][j] * Y[i] for i in range(n)) for j in range(n)]
-    quotient = gcd(a_prime, *X)
+    f = prime_power_generators(p, n)[0]
+    quotient = gcd(a_prime, *divisor_lattice_coordinates(divisor(f)))
     return AbelianGroup((quotient,)) if quotient > 1 else AbelianGroup.trivial()
 
 
@@ -175,26 +167,6 @@ def generalized_torsion(p: int, n: int) -> TorsionResult:
     )
 
 
-def evaluate_delta_class(E: CuspDivisor, m: int, h: EtaQuotient):
-    """Image of the order-m class of E under the connecting map, as the
-    vector of exponents tensor 1/m in the evaluation lattice.
-
-    `h` must be an eta unit with div(h) = m.E; the returned coordinates are
-    the classes in Q/Z of (exponent of the lattice generator) / m, one per
-    non-base cusp.
-    """
-    factors = factorize(E.N)
-    if len(factors) != 1:
-        raise ScopeError(f"level {E.N} is not a prime power")
-    ((p, n),) = factors.items()
-    if m < 1:
-        raise InputError("the annihilator m must be positive")
-    if divisor(h) != m * E:
-        raise InputError("div(h) != m * E")
-    sigmas = [sigma_matrix(p, n, k) for k in range(n + 1)]
-    return [QmodZ.of(coord, m) for coord in _lambda_image(h, p, sigmas)]
-
-
 def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> TorsionResult:
     """Kernel of the connecting map on the cuspidal class group of X0(pq)
     for distinct primes p == q == 1 mod 12, with the root-of-unity part and
@@ -229,25 +201,19 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
                 row.append(diff // 2)
         lc_rows.append(row)
     w = [divisor_lattice_coordinates(d) for d in generator_divisors]
-    # extension of the evaluation map to all of the divisor lattice: rows
-    # delta_tilde(D_j) = (row j of W^-1 . lc_rows), exact rationals
-    w_t = [list(col) for col in zip(*w)]
-    delta_tilde = []
-    for j in range(3):
-        target = [Fraction(1 if i == j else 0) for i in range(3)]
-        y = solve_exact(w_t, target)
-        delta_tilde.append(
-            [sum(y[i] * lc_rows[i][c] for i in range(3)) for c in range(6)]
-        )
-    denominator = 1
-    for row in delta_tilde:
-        for value in row:
-            denominator = denominator * value.denominator // gcd(denominator, value.denominator)
-    cols = [
-        [int(delta_tilde[j][c] * denominator) for j in range(3)] for c in range(6)
-    ]
-    kernel_lattice = congruence_kernel(cols, [denominator] * 6)
-    kernel_group = quotient_structure(kernel_lattice, w)
+    # the extension of the evaluation map to the divisor lattice is
+    # W^-1 . lc_rows = adj(W) . lc_rows / det W, so x has an integral image
+    # exactly when x . adj(W) . lc_rows == 0 mod |det W|
+    adj_w, det_w = _adjugate(w)
+    assert det_w, "the pq generator divisors are linearly dependent"
+    image_cols = [[sum(adj_w[j][i] * lc_rows[i][c] for i in range(3)) for j in range(3)] for c in range(6)]
+    kernel_lattice = congruence_kernel(image_cols, [abs(det_w)] * 6)
+    # the kernel is that lattice K modulo the rows of W, whose coordinates
+    # in the basis K are W . adj(K) / det K
+    adj_k, det_k = _adjugate(kernel_lattice)
+    coords = [[sum(x * adj_k[i][j] for i, x in enumerate(row)) for j in range(3)] for row in w]
+    assert all(c % det_k == 0 for row in coords for c in row), "a unit divisor lies outside the kernel lattice"
+    kernel_group = cokernel([[c // det_k for c in row] for row in coords], 3)
     mu = AbelianGroup((2, 2, 2))
     return TorsionResult(
         conditional=True,
@@ -256,36 +222,4 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
         group=None,
         up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
         note="extension not resolved; cyclic of order (p-1)(q-1)/3 up to 2-torsion",
-    )
-
-
-@dataclass(frozen=True)
-class SplitInjectionReport:
-    """Documentation of the reduction step that justifies discarding root-of-
-    unity parts: comparing values in Q with values in the cyclotomic field of
-    conductor p^m loses exactly the order-2 class of p* tensor 1/2, so all
-    2-torsion conclusions are sensitive to that convention."""
-
-    p: int
-    m: int
-    reduction_generators: tuple
-    comparison_kernel: tuple
-    caveat: str
-
-
-def split_injection_scope(p: int, m: int) -> SplitInjectionReport:
-    if not is_prime(p) or p == 2:
-        raise ScopeError(f"p = {p} must be an odd prime")
-    if m < 1:
-        raise InputError("m must be positive")
-    return SplitInjectionReport(
-        p=p,
-        m=m,
-        reduction_generators=("p", "sqrt(p*)"),
-        comparison_kernel=("1", f"{p}* (x) 1/2"),
-        caveat=(
-            "class reductions discard only root-of-unity factors; comparing "
-            "rational classes inside the cyclotomic field kills exactly the "
-            "order-2 class above, so 2-torsion statements are convention-bound"
-        ),
     )

@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: dense matrices, Smith normal form, lattice
-quotients, and invariant factors of finite abelian groups.
+"""Exact integer linear algebra: dense matrices, Smith normal form, Hermite
+bases, congruence kernels, and invariant factors of finite abelian groups.
 
 Everything here is exact; no floating point is used anywhere in this module.
 """
@@ -423,11 +423,20 @@ def divisor_valuations(n: int) -> dict:
     """{p: {d: v_p(d)}} over the primes p of n and the divisors d of n, both
     in increasing order, from one factorization."""
     factors = sorted(factorize(n).items())
-    rows = [(1,)]
+    divisors = [1]
     for p, e in factors:
-        rows = [(row[0] * p**k, *row[1:], k) for row in rows for k in range(e + 1)]
-    rows.sort()
-    return {p: {row[0]: row[i + 1] for row in rows} for i, (p, _) in enumerate(factors)}
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    divisors.sort()
+    out = {}
+    for p, e in factors:
+        if e == 1:
+            out[p] = {d: 0 if d % p else 1 for d in divisors}
+        else:
+            # v_p(d) is the exponent of gcd(d, p^e)
+            exponent = {p**k: k for k in range(e + 1)}
+            pe = p**e
+            out[p] = {d: exponent[gcd(d, pe)] for d in divisors}
+    return out
 
 
 def solve_exact(rows, rhs):
@@ -489,31 +498,6 @@ def cokernel(rows, k: int) -> AbelianGroup:
     if sum(1 for d in diag if d != 0) < k:
         raise ValueError("sub lattice has smaller rank; quotient is infinite")
     return AbelianGroup(tuple(d for d in diag if d > 1))
-
-
-def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
-    """Structure of (lattice spanned by ambient_basis)/(lattice spanned by sub_basis).
-
-    Each sub-basis vector must be an integer combination of the ambient basis,
-    and the two lattices must have the same rank (otherwise the quotient is
-    infinite and a ValueError is raised).
-    """
-    ambient = [list(v) for v in ambient_basis]
-    subs = [list(v) for v in sub_basis]
-    if not ambient:
-        if any(any(v) for v in subs):
-            raise ValueError("sub lattice not contained in the trivial ambient lattice")
-        return AbelianGroup.trivial()
-    coords = []
-    for v in subs:
-        try:
-            x = express_in_basis(ambient, v)
-        except ValueError as exc:
-            raise ValueError(f"sub-basis vector {v} is not in the ambient lattice") from exc
-        if any(c.denominator != 1 for c in x):
-            raise ValueError(f"sub-basis vector {v} is not an integer combination")
-        coords.append([int(c) for c in x])
-    return cokernel(coords, len(ambient))
 
 
 def hermite_row_basis(vectors):

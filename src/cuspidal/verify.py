@@ -10,12 +10,11 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import mpmath as mp
 
-from .classgroup import class_group, class_group_pq, ling_structure, order_matrices
-from .curve import cusp_degrees
+from .classgroup import class_group, class_group_pq, determinant_claims, ling_structure, order_matrices
 from .eta import EtaQuotient, check_modular_function, divisor, order_at_cusp, pq_generators, prime_power_generators
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from .linalg import AbelianGroup, IntMatrix, smith_normal_form
@@ -74,23 +73,13 @@ def check_mazur_orders() -> CheckResult:
 
 def check_determinant_claims() -> CheckResult:
     """|det V|, det(24M), det U and the last-row sum of VMU in closed form."""
+    labels = {"abs_det_v": "det V", "det_m_times_24": "det M", "det_u": "det U", "vmu_last_row_sum": "VMU row sum"}
     cases = 0
     for p in (5, 7, 13):
-        a = (p - 1) // gcd(p - 1, 12)
-        b = (p + 1) // gcd(p + 1, 12)
         for n in range(1, 7):
-            mats = order_matrices(p, n)
-            if abs(mats.v.det()) != 24 * (n + 1) // gcd(p - 1, 12):
-                return CheckResult("determinant-claims", False, f"det V fails at ({p}, {n})")
-            exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
-            if mats.m24.det() != 24**n * (a * b) ** n * p**exponent:
-                return CheckResult("determinant-claims", False, f"det M fails at ({p}, {n})")
-            if mats.u.det() != prod(cusp_degrees(p**n).values()):
-                return CheckResult("determinant-claims", False, f"det U fails at ({p}, {n})")
-            if sum(mats.vmu.row(n)) != (n + 1) * p ** (n - 1) * (p + 1):
-                return CheckResult(
-                    "determinant-claims", False, f"VMU row sum fails at ({p}, {n})"
-                )
+            for name, (value, expected) in determinant_claims(order_matrices(p, n)).items():
+                if value != expected:
+                    return CheckResult("determinant-claims", False, f"{labels[name]} fails at ({p}, {n})")
             cases += 1
     return CheckResult("determinant-claims", True, f"{cases} (p, n) cases, all four identities")
 

@@ -8,13 +8,14 @@ from cuspidal.classgroup import (
     class_group,
     class_group_for_level,
     class_group_pq,
+    determinant_claims,
     divisor_lattice_coordinates,
     eta_unit_divisor_lattice,
     eta_unit_exponent_basis,
     ling_structure,
     order_matrices,
 )
-from cuspidal.curve import CuspDivisor, divisor_basis, lambda_embedding
+from cuspidal.curve import CuspDivisor
 from cuspidal.errors import ScopeError
 from cuspidal.eta import check_modular_function, divisor, pq_generators, prime_power_generators
 from cuspidal.linalg import (
@@ -26,9 +27,9 @@ from cuspidal.linalg import (
     express_in_basis,
     factorize,
     hermite_row_basis,
-    quotient_structure,
 )
-from test_linalg import bordered_lattice_index, euler_phi
+from test_curve import divisor_basis, lambda_embedding
+from test_linalg import bordered_lattice_index, euler_phi, quotient_structure
 
 
 def test_class_group_examples():
@@ -123,8 +124,9 @@ def divisor_in_lattice(E, basis):
     """Does E lie in the lattice spanned by the given cuspidal divisors?"""
     if not basis:
         return all(c == 0 for _, c in E.coefficients)
-    vectors = [[Fraction(x) for x in b.coefficient_vector()] for b in basis]
-    target = [Fraction(x) for x in E.coefficient_vector()]
+    levels = divisors_of(E.N)
+    vectors = [[Fraction(b.coefficient(d)) for d in levels] for b in basis]
+    target = [Fraction(E.coefficient(d)) for d in levels]
     try:
         coords = express_in_basis(vectors, target)
     except ValueError:
@@ -163,6 +165,10 @@ def test_order_matrices_determinant_claims():
             )
             vmu = mats.vmu
             assert sum(vmu.row(n)) == (n + 1) * p ** (n - 1) * (p + 1)
+            claims = determinant_claims(mats)
+            assert claims["abs_det_v"] == (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12))
+            assert claims["det_m_times_24"] == (mats.m24.det(), 24**n * claim)
+            assert all(value == expected for value, expected in claims.values())
 
 
 def prod(values):

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from cuspidal.curve import Cusp, CuspDivisor, cusp_degrees, cusps, divisor_basis, lambda_embedding
+from cuspidal.curve import Cusp, CuspDivisor, cusp_degrees, cusps
+from cuspidal.errors import InputError
 from cuspidal.linalg import divisors_of, factorize
 from test_linalg import euler_phi
 
@@ -124,6 +125,31 @@ def test_width_sum_equals_index():
         assert sum(c.degree * c.width for c in cusps(N)) == index
 
 
+def divisor_basis(p, n):
+    """The standard basis D_0, ..., D_(n-1) of the degree-zero cuspidal
+    divisor group on X0(p^n): D_i = Q_(p^i) - phi(gcd(p^i, p^(n-i))) Q_(p^n)."""
+    N = p**n
+    degrees = cusp_degrees(N)
+    return [CuspDivisor.make(N, {p**i: 1, N: -degrees[p**i]}) for i in range(n)]
+
+
+def lambda_embedding(E, p, n):
+    """Embed a degree-zero cuspidal divisor on X0(p^n) into the
+    coordinate-sum-zero lattice of Z^(n+1): the basis divisor D_i maps to
+    phi(gcd(p^i, p^(n-i))) (e_(i+1) - e_0). The tests' independent route to
+    C(p^n) and to the rows of VMU."""
+    N = p**n
+    if E.N != N:
+        raise ValueError(f"divisor lives on X0({E.N}), not X0({N})")
+    if E.degree() != 0:
+        raise ValueError("divisor has nonzero degree")
+    coeffs = [E.coefficient(d) for d in cusp_degrees(N)]
+    degrees = list(cusp_degrees(N).values())
+    image = [coeffs[n]] + [c * phi for c, phi in zip(coeffs[:n], degrees)]
+    assert sum(image) == 0
+    return image
+
+
 def test_divisor_basis_examples():
     (d0,) = divisor_basis(5, 1)
     assert d0 == CuspDivisor.make(5, {1: 1, 5: -1})
@@ -133,7 +159,7 @@ def test_divisor_basis_examples():
     for p, n in [(5, 3), (7, 2), (13, 4)]:
         for d in divisor_basis(p, n):
             assert d.degree() == 0
-            assert d.is_integral()
+            assert all(type(c) is int for _, c in d.coefficients)
 
 
 def test_lambda_embedding_examples():
@@ -147,7 +173,24 @@ def test_lambda_embedding_rejects_bad_divisors():
     with pytest.raises(ValueError):
         lambda_embedding(CuspDivisor.make(25, {1: 1}), 5, 2)  # nonzero degree
     with pytest.raises(ValueError):
-        lambda_embedding(CuspDivisor.make(25, {1: Fraction(1, 2), 25: Fraction(-1, 2)}), 5, 2)
+        lambda_embedding(CuspDivisor.make(5, {1: 1, 5: -1}), 5, 2)  # another level
+    # a divisor with half-integral coefficients cannot be built at all
+    with pytest.raises(InputError):
+        CuspDivisor.make(25, {1: Fraction(1, 2), 25: Fraction(-1, 2)})
+
+
+def test_cusp_divisor_make_rejects_non_integral_coefficients():
+    # refused, not truncated to 0
+    with pytest.raises(InputError, match="not an integer"):
+        CuspDivisor.make(25, {5: Fraction(1, 2)})
+    with pytest.raises(InputError):
+        CuspDivisor.make(25, {1: 1, 25: -0.5})
+    with pytest.raises(InputError):
+        Fraction(1, 2) * CuspDivisor.make(25, {1: 1, 25: -1})
+    e = CuspDivisor.make(25, {1: Fraction(4, 2), 5: 0, 25: -2})
+    assert e.coefficients == ((1, 2), (25, -2))
+    assert all(type(c) is int for _, c in e.coefficients)
+    assert type(e.degree()) is int and e.degree() == 0
 
 
 def test_lambda_embedding_injective_and_sum_zero():

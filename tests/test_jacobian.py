@@ -3,22 +3,21 @@ from math import gcd
 
 import pytest
 
-from cuspidal.classgroup import class_group, class_group_pq
-from cuspidal.curve import CuspDivisor, divisor_basis
+from cuspidal.classgroup import class_group, class_group_pq, divisor_lattice_coordinates
 from cuspidal.errors import ScopeError
-from cuspidal.eta import EtaQuotient, divisor, prime_power_generators
+from cuspidal.eta import divisor, pq_generators, prime_power_generators
 from cuspidal.jacobian import (
-    SplitInjectionReport,
+    TorsionResult,
     delta_cokernel,
     delta_kernel_on_cuspidal,
     delta_matrix,
-    evaluate_delta_class,
     generalized_torsion,
     mu_contribution,
     pq_delta_kernel,
-    split_injection_scope,
 )
-from cuspidal.linalg import AbelianGroup, IntMatrix, QmodZ, express_in_basis
+from cuspidal.linalg import AbelianGroup, IntMatrix, congruence_kernel, solve_exact
+from cuspidal.transform import pq_leading_coefficients
+from test_linalg import quotient_structure
 
 
 def closed_form_delta_matrix(p, n):
@@ -86,15 +85,30 @@ def test_delta_kernel_on_cuspidal_checks_the_triangular_shape(monkeypatch, i, j)
         jacobian.delta_kernel_on_cuspidal(p, n)
 
 
-def test_delta_kernel_exactness_bookkeeping():
-    # |C(p^n)| = |ker| * |image|, with the image computed independently as
-    # D / (preimage of the integral lattice)
-    from cuspidal.jacobian import _unit_matrix_in_divisor_basis
-    from cuspidal.linalg import congruence_kernel, quotient_structure, solve_exact
+@pytest.mark.parametrize("p, scale, expected", [(5, 3, (3,)), (7, 4, (2,)), (11, 4, (2,)), (13, 6, ())])
+def test_delta_kernel_on_cuspidal_is_the_gcd_of_a_prime_with_div_f(monkeypatch, p, scale, expected):
+    # with the coordinates of every divisor scaled, the kernel becomes
+    # cyclic of order gcd(a', scale) = gcd(a', coordinates of div f)
+    import cuspidal.jacobian as jacobian
 
+    monkeypatch.setattr(
+        jacobian, "divisor_lattice_coordinates", lambda E: [scale * c for c in divisor_lattice_coordinates(E)]
+    )
+    assert jacobian.delta_kernel_on_cuspidal(p, 3) == AbelianGroup(expected)
+
+
+def unit_matrix_in_divisor_basis(p, n):
+    """Rows: div f, div g_k in the coordinates of the basis D_0..D_(n-1)."""
+    return [divisor_lattice_coordinates(divisor(h)) for h in prime_power_generators(p, n)]
+
+
+def test_delta_kernel_exactness_bookkeeping():
+    # |C(p^n)| = |ker| * |image|, with the kernel and the image computed
+    # independently over the rationals: the image as D / (preimage of the
+    # integral lattice), the kernel as that preimage modulo the unit divisors
     for p, n in [(5, 2), (5, 3), (7, 2), (11, 2), (13, 3), (5, 12), (17, 6)]:
         dm = delta_matrix(p, n)
-        w = _unit_matrix_in_divisor_basis(p, n)
+        w = unit_matrix_in_divisor_basis(p, n)
         w_t = [list(col) for col in zip(*w)]
         delta_tilde = []
         for j in range(n):
@@ -162,50 +176,6 @@ def test_generalized_torsion_matches_closed_form():
             assert result.conditional == (n >= 2)
 
 
-def test_evaluate_delta_class_principal():
-    f = prime_power_generators(5, 2)[0]
-    image = evaluate_delta_class(divisor(f), 1, f)
-    assert all(not x for x in image)
-
-
-def test_evaluate_delta_class_nonzero():
-    # level 11: div f = 5 (P_1 - P_0); the class of P_1 - P_0 has order 5 and
-    # a nonzero image with denominator 5
-    f = prime_power_generators(11, 1)[0]
-    e = CuspDivisor.make(11, {11: 1, 1: -1})
-    image = evaluate_delta_class(e, 5, f)
-    assert len(image) == 1
-    assert image[0] == QmodZ.of(6, 5)
-    assert image[0]  # nonzero: the connecting map is injective here
-    with pytest.raises(ValueError):
-        evaluate_delta_class(e, 7, f)
-
-
-def test_evaluate_delta_class_consistency_with_delta_matrix():
-    # E = D_1 on X0(25): order in C(25) is 1 (trivial group), so some unit has
-    # divisor exactly D_1; its evaluation must match the matrix route
-    p, n = 5, 2
-    d0, d1 = divisor_basis(p, n)
-    gens = prime_power_generators(p, n)
-    gen_divs = [divisor(h) for h in gens]
-    coords = express_in_basis(
-        [[int(x) for x in d.coefficient_vector()] for d in gen_divs],
-        [int(x) for x in d1.coefficient_vector()],
-    )
-    assert all(c.denominator == 1 for c in coords)
-    h = EtaQuotient.one(p**n)
-    for c, gen in zip(coords, gens):
-        h = h * gen ** int(c)
-    assert divisor(h) == d1
-    image = evaluate_delta_class(d1, 1, h)
-    dm = delta_matrix(p, n)
-    expected = [
-        QmodZ.of(sum(int(c) * dm[i, j] for i, c in enumerate(coords)), 1)
-        for j in range(n)
-    ]
-    assert image == expected  # both vanish mod 1 since m = 1
-
-
 def test_pq_delta_kernel_examples():
     result = pq_delta_kernel(13, 37)
     assert result.kernel == AbelianGroup((18,))
@@ -220,6 +190,54 @@ def test_pq_delta_kernel_examples():
     assert result.order == 8 * 30
 
 
+def rational_pq_delta_kernel(p, q):
+    """pq_delta_kernel by the rational route: the extension W^-1 . lc_rows
+    of the evaluation map solved column by column over Q, its preimage of the
+    integral lattice, and the quotient by the unit divisors through
+    coordinates solved over Q."""
+    table = pq_leading_coefficients(p, q)
+    N = p * q
+    lc_rows = []
+    for name in ("f1", "f2", "f3"):
+        lcs = {level: expansion.leading for level, expansion in table[name].items()}
+        row = []
+        for level in (1, p, q):
+            for ell in (p, q):
+                diff = lcs[N].half_exponent(ell) - lcs[level].half_exponent(ell)
+                assert diff % 2 == 0
+                row.append(diff // 2)
+        lc_rows.append(row)
+    w = [divisor_lattice_coordinates(divisor(h)) for h in pq_generators(p, q)]
+    w_t = [list(col) for col in zip(*w)]
+    delta_tilde = []
+    for j in range(3):
+        y = solve_exact(w_t, [Fraction(1 if i == j else 0) for i in range(3)])
+        delta_tilde.append([sum(y[i] * lc_rows[i][c] for i in range(3)) for c in range(6)])
+    denominator = 1
+    for row in delta_tilde:
+        for value in row:
+            denominator = denominator * value.denominator // gcd(denominator, value.denominator)
+    cols = [[int(delta_tilde[j][c] * denominator) for j in range(3)] for c in range(6)]
+    kernel_lattice = congruence_kernel(cols, [denominator] * 6)
+    return TorsionResult(
+        conditional=True,
+        kernel=quotient_structure(kernel_lattice, w),
+        mu_part=AbelianGroup((2, 2, 2)),
+        group=None,
+        up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
+        note="extension not resolved; cyclic of order (p-1)(q-1)/3 up to 2-torsion",
+    )
+
+
+@pytest.mark.parametrize(
+    "p, q", [(13, 37), (13, 61), (37, 61), (13, 73), (13, 97), (13, 1093), (37, 73), (61, 97)]
+)
+def test_pq_delta_kernel_matches_the_rational_route(p, q):
+    result = pq_delta_kernel(p, q)
+    assert result == rational_pq_delta_kernel(p, q)
+    assert result.kernel == AbelianGroup(((p - 1) * (q - 1) // 24,))
+
+
 def test_pq_delta_kernel_scope():
     with pytest.raises(ScopeError):
         pq_delta_kernel(5, 13)
@@ -231,15 +249,3 @@ def test_pq_kernel_order_divides_class_group():
     group = class_group_pq(p, q)
     assert group.order % result.kernel.order == 0
     assert pq_delta_kernel(p, q, generator_divisors=group.generator_divisors) == result
-
-
-def test_split_injection_scope():
-    report = split_injection_scope(5, 1)
-    assert isinstance(report, SplitInjectionReport)
-    assert report.comparison_kernel == ("1", "5* (x) 1/2")
-    assert report.reduction_generators == ("p", "sqrt(p*)")
-    assert "2-torsion" in report.caveat
-    with pytest.raises(ScopeError):
-        split_injection_scope(2, 1)
-    with pytest.raises(ValueError):
-        split_injection_scope(5, 0)

@@ -18,7 +18,6 @@ from cuspidal.linalg import (
     factorize,
     hermite_row_basis,
     is_prime,
-    quotient_structure,
     smith_normal_form,
 )
 
@@ -30,6 +29,30 @@ def euler_phi(n):
     for p in factorize(n):
         out -= out // p
     return out
+
+
+def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
+    """Structure of (lattice spanned by ambient_basis)/(lattice spanned by
+    sub_basis), the reference route for the integer kernels: each sub-basis
+    vector is expressed in the ambient basis over the rationals and must come
+    out integral, and the two lattices must have the same rank (otherwise the
+    quotient is infinite and a ValueError is raised)."""
+    ambient = [list(v) for v in ambient_basis]
+    subs = [list(v) for v in sub_basis]
+    if not ambient:
+        if any(any(v) for v in subs):
+            raise ValueError("sub lattice not contained in the trivial ambient lattice")
+        return AbelianGroup.trivial()
+    coords = []
+    for v in subs:
+        try:
+            x = express_in_basis(ambient, v)
+        except ValueError as exc:
+            raise ValueError(f"sub-basis vector {v} is not in the ambient lattice") from exc
+        if any(c.denominator != 1 for c in x):
+            raise ValueError(f"sub-basis vector {v} is not an integer combination")
+        coords.append([int(c) for c in x])
+    return cokernel(coords, len(ambient))
 
 
 def snf_is_valid(a, snf):
@@ -367,6 +390,28 @@ def test_divisor_valuations():
         for p, by_divisor in valuations.items():
             assert list(by_divisor) == divisors_of(n)
             assert all(by_divisor[d] == factorize(d).get(p, 0) for d in by_divisor)
+
+
+def sorted_tuple_divisor_valuations(n):
+    """divisor_valuations by sorting one (d, v_p1(d), v_p2(d), ...) tuple per
+    divisor: the reference for the multiplicative construction."""
+    factors = sorted(factorize(n).items())
+    rows = [(1,)]
+    for p, e in factors:
+        rows = [(row[0] * p**k, *row[1:], k) for row in rows for k in range(e + 1)]
+    rows.sort()
+    return {p: {row[0]: row[i + 1] for row in rows} for i, (p, _) in enumerate(factors)}
+
+
+def test_divisor_valuations_matches_the_sorted_tuple_reference():
+    # compared as ordered lists: the order of primes and divisors is part of
+    # the result
+    for n in [*range(1, 2001), 5040, 55440, 257**11]:
+        expected = sorted_tuple_divisor_valuations(n)
+        got = divisor_valuations(n)
+        assert [(p, list(v.items())) for p, v in got.items()] == [
+            (p, list(v.items())) for p, v in expected.items()
+        ], n
 
 
 def test_express_in_basis():
