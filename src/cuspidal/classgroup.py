@@ -10,7 +10,6 @@ from .errors import InputError, ScopeError
 from .eta import (
     EtaQuotient,
     _divisor_rows,
-    divisor,
     order_coefficient,
     pq_generators,
     prime_power_generators,
@@ -88,13 +87,19 @@ def _coordinates(N: int, coeffs) -> list:
     return coeffs[:-1]
 
 
+def _divisors(N: int, quotients) -> tuple:
+    """Divisors of the given eta quotients on X0(N), evaluated together."""
+    rows = _divisor_rows(N, [h.exponents for h in quotients], divisor_valuations(N))
+    return tuple(CuspDivisor.make(N, dict(zip(cusp_degrees(N), row))) for row in rows)
+
+
 def class_group(p: int, n: int) -> ClassGroupResult:
     """C(p^n) for p >= 5 prime, as the quotient of the cuspidal divisor
     lattice by the lattice of eta-unit divisors."""
     _require_odd_prime_scope(p)
     if n < 1:
         raise InputError("n must be positive")
-    gen_divisors = tuple(divisor(h) for h in prime_power_generators(p, n))
+    gen_divisors = _divisors(p**n, prime_power_generators(p, n))
     group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], n)
     return ClassGroupResult(N=p**n, group=group, generator_divisors=gen_divisors, certified=True)
 
@@ -119,7 +124,7 @@ def ling_structure(p: int, n: int) -> AbelianGroup:
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
     """C(pq) for distinct primes p == q == 1 mod 12, from the three-unit lattice."""
-    gen_divisors = tuple(divisor(h) for h in pq_generators(p, q))
+    gen_divisors = _divisors(p * q, pq_generators(p, q))
     group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], 3)
     return ClassGroupResult(N=p * q, group=group, generator_divisors=gen_divisors, certified=True)
 
@@ -162,9 +167,10 @@ def determinant_claims(mats: OrderMatrices) -> dict:
     }
 
 
-def _exponent_rows(N: int) -> list:
+def _exponent_rows(N: int, valuations) -> list:
     """Hermite basis of the lattice of exponent vectors, over the divisors of
-    N in increasing order, that satisfy all four Ligozat conditions on X0(N).
+    N in increasing order, that satisfy all four Ligozat conditions on X0(N),
+    where `valuations` = divisor_valuations(N).
 
     The weight-zero condition is solved exactly; the two mod-24 congruences
     and the even-valuation conditions (one per prime dividing N) are imposed
@@ -180,8 +186,8 @@ def _exponent_rows(N: int) -> list:
     for weights in ([d % 24 for d in deltas], [(N // d) % 24 for d in deltas]):
         rows.append([w - weights[-1] for w in weights[:-1]])
         moduli.append(24)
-    for valuations in divisor_valuations(N).values():
-        weights = list(valuations.values())
+    for by_divisor in valuations.values():
+        weights = list(by_divisor.values())
         rows.append([(w - weights[-1]) % 2 for w in weights[:-1]])
         moduli.append(2)
     # the kernel comes in Hermite form, and the appended column is a linear
@@ -192,7 +198,7 @@ def _exponent_rows(N: int) -> list:
 def eta_unit_exponent_basis(N: int) -> list:
     """Hermite basis (as EtaQuotients) of the lattice of exponent vectors
     satisfying all four Ligozat conditions on X0(N)."""
-    rows = _exponent_rows(N)
+    rows = _exponent_rows(N, divisor_valuations(N))
     deltas = list(cusp_degrees(N))
     return [EtaQuotient.make(N, dict(zip(deltas, vec))) for vec in rows]
 
@@ -201,8 +207,9 @@ def _unit_divisor_rows(N: int) -> list:
     """Hermite basis of the lattice of eta-unit divisors on X0(N), as integer
     coefficient rows over the divisors of N in increasing order."""
     deltas = list(cusp_degrees(N))
-    rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(N)]
-    return hermite_row_basis(_divisor_rows(N, rows))
+    valuations = divisor_valuations(N)
+    rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(N, valuations)]
+    return hermite_row_basis(_divisor_rows(N, rows, valuations))
 
 
 def eta_unit_divisor_lattice(N: int) -> list:

@@ -158,12 +158,11 @@ def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
     return Fraction(orders[list(cusp_degrees(h.N)).index(d)], 24)
 
 
-def _divisor_rows(N: int, rows) -> list:
+def _divisor_rows(N: int, rows, valuations) -> list:
     """Integer coefficients, level by level in increasing order, of the
     divisors of the eta quotients on X0(N) with the given sparse exponent
-    rows. A row failing Ligozat's test raises NotModularError; non-integral
-    orders or a nonzero degree raise AssertionError."""
-    valuations = divisor_valuations(N)
+    rows (`valuations` = divisor_valuations(N)). Failing Ligozat's test raises
+    NotModularError; a non-integral order or nonzero degree, AssertionError."""
     degrees = cusp_degrees(N)
     out = []
     for row, orders in zip(rows, _orders24(N, rows)):
@@ -184,7 +183,7 @@ def _divisor_rows(N: int, rows) -> list:
 
 def divisor(h: EtaQuotient) -> CuspDivisor:
     """Divisor of a Ligozat-valid eta quotient, with integer coefficients."""
-    (coeffs,) = _divisor_rows(h.N, [h.exponents])
+    (coeffs,) = _divisor_rows(h.N, [h.exponents], divisor_valuations(h.N))
     return CuspDivisor.make(h.N, dict(zip(cusp_degrees(h.N), coeffs)))
 
 

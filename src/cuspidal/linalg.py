@@ -159,11 +159,10 @@ class SmithDecomposition:
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transformation matrices.
-
-    The pivot is always the remaining entry of smallest absolute value
-    (row-major tie break), so the reduction is deterministic.
-    """
+    """Smith normal form with transformation matrices: Euclid's algorithm on
+    each pivot's row and column, then one gcd/lcm step per pair of diagonal
+    entries (`_smith_reduce`). Every choice is a fixed function of the
+    input, so P and Q are deterministic."""
     nr, nc = a.nrows, a.ncols
     m = [list(row) for row in a]
     p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
@@ -172,66 +171,74 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix(m), IntMatrix(p), IntMatrix(q))
 
 
+def _egcd(a: int, b: int) -> tuple:
+    """(g, u, v) with a*u + b*v = g = gcd(a, b) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        quot = a // b
+        a, b, u0, u1, v0, v1 = b, a - quot * b, u1, u0 - quot * u1, v1, v0 - quot * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def _smith_reduce(m, p=None, q=()):
-    """Reduce the rows m (lists, changed in place) to Smith form by the
-    pivoting of `smith_normal_form`, applying each row operation to p and
-    each column operation to q too, when they are given."""
+    """Reduce the rows m (lists, changed in place) to Smith form, applying
+    each row operation to p and each column operation to q too, when they
+    are given (Kannan-Bachem; Cohen, GTM 138, section 2.4).
+
+    Pivot t clears its row and column by Euclid's algorithm with nearest
+    quotients, moving their entry of least absolute value (row first) to
+    (t, t) each round. Row operations run over the pivot row's support,
+    column operations over the rows nonzero in the pivot column. One gcd/lcm
+    step per pair of diagonal entries then gives the chain d1 | d2 | ...."""
     nr, nc = len(m), len(m[0]) if m else 0
-    row_sets = [m] if p is None else [m, p]
-
-    def swap_rows(i, j):
-        for a in row_sets:
-            a[i], a[j] = a[j], a[i]
-
-    def add_row(dst, src, mult):
-        for a in row_sets:
-            a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-
-    def swap_cols(i, j):
-        for row in (*m, *q):
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, mult):
-        for row in (*m, *q):
-            row[dst] += mult * row[src]
-
-    def smallest_pivot(t):
-        # the first entry of least absolute value in row-major order
-        best, least = None, 0
-        for i in range(t, nr):
-            for j, x in enumerate(m[i][t:], t):
-                if x and (best is None or abs(x) < least):
-                    best, least = (i, j), abs(x)
-                    if least == 1:
-                        return best
-        return best
-
+    p = [[] for _ in m] if p is None else p
     for t in range(min(nr, nc)):
-        if smallest_pivot(t) is None:
+        found = next(((i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j]), None)
+        if found is None:
             break
+        i, j = found
         while True:
-            i, j = smallest_pivot(t)
-            if i != t:
-                swap_rows(t, i)
+            m[t], m[i], p[t], p[i] = m[i], m[t], p[i], p[t]
             if j != t:
-                swap_cols(t, j)
-            if m[t][t] < 0:
-                add_row(t, t, -2)  # negate row t
-            for i in range(t + 1, nr):
-                quot = m[i][t] // m[t][t]
-                if quot:
-                    add_row(i, t, -quot)
-            for j in range(t + 1, nc):
-                quot = m[t][j] // m[t][t]
-                if quot:
-                    add_col(j, t, -quot)
-            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1 :]):
-                continue
-            # pivot must divide the rest of the block for the chain condition
-            bad = [i for i in range(t + 1, nr) if any(x % m[t][t] for x in m[i][t + 1 :])]
-            if not bad:
+                for row in (*m, *q):
+                    row[t], row[j] = row[j], row[t]
+            rows = [k for k in range(t + 1, nr) if m[k][t]]
+            cols = [k for k in range(t + 1, nc) if m[t][k]]
+            if not rows and not cols:
                 break
-            add_row(t, bad[0], 1)
+            x = min([m[t][t], *(m[t][k] for k in cols), *(m[k][t] for k in rows)], key=abs)
+            if x != m[t][t]:
+                j = next((k for k in cols if m[t][k] == x), t)
+                i = t if j != t else next(k for k in rows if m[k][t] == x)
+                continue
+            i = j = t
+            pivot_row = m[t]
+            support = [t, *cols]
+            for k in rows:
+                quot, row = (2 * m[k][t] + x) // (2 * x), m[k]
+                for c in support:
+                    row[c] -= quot * pivot_row[c]
+                p[k] = [y - quot * z for y, z in zip(p[k], p[t])]
+            live = [pivot_row, *(m[k] for k in rows if m[k][t]), *(row for row in q if row[t])]
+            for c in cols:
+                quot = (2 * pivot_row[c] + x) // (2 * x)
+                for row in live:
+                    row[c] -= quot * row[t]
+        if m[t][t] < 0:
+            m[t], p[t] = [-y for y in m[t]], [-y for y in p[t]]
+    rank = sum(1 for t in range(min(nr, nc)) if m[t][t])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = m[i][i], m[j][j]
+            if b % a:
+                g, u, v = _egcd(a, b)
+                m[i][i], m[j][j] = g, a // g * b
+                pi, pj = p[i], p[j]
+                p[i] = [u * x + v * y for x, y in zip(pi, pj)]
+                p[j] = [(a * y - b * x) // g for x, y in zip(pi, pj)]
+                for row in q:
+                    x, y = row[i], row[j]
+                    row[i], row[j] = x + y, (u * a * y - v * b * x) // g
 
 
 @dataclass(frozen=True)
@@ -501,66 +508,61 @@ def cokernel(rows, k: int) -> AbelianGroup:
 
 
 def hermite_row_basis(vectors):
-    """Canonical basis (row Hermite form) of the lattice generated by the rows.
-
-    Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and zero rows are dropped.
-    """
-    work = [list(v) for v in vectors]
-    work = [row for row in work if any(row)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):  # rows r, r+1, ... are zero before column c
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
-            work[r], work[i0] = work[i0], work[r]
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            pivot = work[r][c:]
-            done = True
-            for i in range(r + 1, len(work)):
-                quot = work[i][c] // pivot[0]
-                if quot:
-                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
-                if work[i][c] != 0:
-                    done = False
-            if done:
-                break
-        if any(work[i][c] != 0 for i in range(r, len(work))):
-            pivot = work[r][c:]
-            for i in range(r):
-                quot = work[i][c] // pivot[0]
-                if quot:
-                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
-            r += 1
-            if r == len(work):
-                break
-    assert all(not any(row) for row in work[r:]), "nonzero row left below the profile"
-    return [row for row in work[:r]]
+    """Canonical basis (row Hermite form) of the lattice generated by the rows:
+    positive pivots, entries above each pivot reduced into [0, pivot), zero
+    rows dropped. Each column works only on the rows nonzero there, over the
+    pivot row's support, and sets aside the rows that become zero."""
+    rows = [list(v) for v in vectors if any(v)]
+    width = len(rows[0]) if rows else 0
+    basis, zero = [], set()
+    for c in range(width):
+        nz = [row for row in rows if row[c]]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            # least entry, then fewest nonzero entries, which keeps the rows sparse
+            pivot = min(nz, key=lambda row: (abs(row[c]), len(row) - row.count(0)))
+            x = pivot[c]
+            support = [(j, pivot[j]) for j in range(c, width) if pivot[j]]
+            left = [pivot]
+            for row in nz:
+                if row is not pivot:
+                    quot = row[c] // x
+                    for j, y in support:
+                        row[j] -= quot * y
+                    if row[c]:
+                        left.append(row)
+                    elif not any(row):
+                        zero.add(id(row))
+            nz = left
+        (pivot,) = nz
+        rows = [row for row in rows if row is not pivot and id(row) not in zero]
+        if pivot[c] < 0:
+            pivot[:] = [-y for y in pivot]
+        support = [(j, pivot[j]) for j in range(c, width) if pivot[j]]
+        for row in basis:
+            quot = row[c] // pivot[c]
+            if quot:
+                for j, y in support:
+                    row[j] -= quot * y
+        basis.append(pivot)
+    return basis
 
 
 def congruence_kernel(rows, moduli):
-    """Basis of {x in Z^t : rows . x == 0 (mod moduli), componentwise}.
+    """Hermite basis of {x in Z^t : rows . x == 0 (mod moduli), componentwise}.
 
     `rows` is an m-by-t integer matrix acting on column vectors; moduli has
-    one positive entry per row. Realized by projecting the integer kernel of
-    the bordered matrix [rows | diag(moduli)].
+    one positive entry per row. The kernel is the part of the lattice
+    {(rows . x + moduli * y, x)} whose first m coordinates vanish, so it is
+    read from the last t rows of that lattice's Hermite basis.
     """
-    rows = [list(r) for r in rows]
     m = len(rows)
     if m != len(moduli):
         raise ValueError("one modulus per row required")
     t = len(rows[0]) if rows else 0
-    if m == 0:
-        return [[1 if i == j else 0 for j in range(t)] for i in range(t)]
-    bordered = [rows[i] + [moduli[i] if i == j else 0 for j in range(m)] for i in range(m)]
-    snf = smith_normal_form(IntMatrix(bordered))
-    diag = snf.d.diagonal()
-    kernel_cols = [j for j in range(t + m) if j >= len(diag) or diag[j] == 0]
-    gens = [[snf.q[i, j] for i in range(t)] for j in kernel_cols]
-    return hermite_row_basis(gens)
+    gens = [[r[j] for r in rows] + [int(i == j) for i in range(t)] for j in range(t)]
+    gens += [[moduli[i] if i == k else 0 for k in range(m + t)] for i in range(m)]
+    basis = hermite_row_basis(gens)
+    assert len(basis) == m + t and not any(x for row in basis[m:] for x in row[:m])
+    return [row[m:] for row in basis[m:]]

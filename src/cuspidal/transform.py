@@ -19,9 +19,10 @@ from math import exp, gcd, lcm, log, log1p, pi
 
 import mpmath as mp
 
+from .curve import cusp_degrees
 from .errors import ScopeError
 from .eta import EtaQuotient
-from .linalg import QmodZ, factorize
+from .linalg import QmodZ, _egcd, factorize
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,9 @@ def _upper_triangularize(m11, m12, m21, m22):
         a, c = abs(m11), abs(m22)
         k, b = divmod(s * m12, c)
         return (s, s * k, 0, s), a, b, c
-
-    def egcd(x, y):
-        if y == 0:
-            return (1, 0, x)
-        u, v, g = egcd(y, x % y)
-        return (v, u - (x // y) * v, g)
-
-    a = gcd(abs(m11), abs(m21))
+    # u*m11 + v*m21 = a: (-v, u) completes the column (m11, m21)/a to det 1
+    a, u, v = _egcd(m11, m21)
     g11, g21 = m11 // a, m21 // a
-    u, v, g = egcd(g11, g21)
-    assert g == 1
     g12, g22 = -v, u
     c = det // a
     k, b = divmod(g22 * m12 - g12 * m22, c)
@@ -243,6 +236,18 @@ def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
     """
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
+    # each c below divides delta * det(sigma), with delta | N, so it factors
+    # over the primes of N (the divisors d > 1 prime to the smaller ones,
+    # until N divides a power of their product) and those of det(sigma)
+    primes, radical = [], 1
+    for d in cusp_degrees(h.N):
+        if d > 1 and gcd(d, radical) == 1:
+            primes.append(d)
+            radical *= d
+            if pow(radical, h.N.bit_length(), h.N) == 0:
+                break
+    rest = sigma.det // gcd(sigma.det, radical ** sigma.det.bit_length())
+    primes += factorize(rest) if rest > 1 else []
     half = {}
     sqrt_balance = 0
     factors = []
@@ -256,8 +261,12 @@ def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
         if gamma[2] != 0:
             # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(C);
             # the common-angle parts cancel once the weights balance
-            for prime, e in factorize(c).items():
-                half[prime] = half.get(prime, 0) - r * e
+            rest = c
+            for prime in primes:
+                while rest % prime == 0:
+                    rest //= prime
+                    half[prime] = half.get(prime, 0) - r
+            assert rest == 1, f"{c} has a prime outside {primes}"
             sqrt_balance += r
         factors.append((r, _multiplier24(*gamma), a, b, c))
     assert sqrt_balance == 0, "square-root factors failed to cancel"

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -15,7 +15,7 @@ from cuspidal.eta import (
     pq_generators,
     prime_power_generators,
 )
-from cuspidal.linalg import divisors_of
+from cuspidal.linalg import divisor_valuations, divisors_of, factorize
 from test_linalg import euler_phi
 
 
@@ -108,6 +108,28 @@ def test_order_coefficient_is_the_integral_ligozat_formula():
                 value = order_coefficient(N, d, delta)
                 assert type(value) is int
                 assert value == ligozat_fraction(N, d, delta), (N, d, delta)
+
+
+def test_order_coefficient_is_the_product_of_its_prime_power_values():
+    # 24 times the order is multiplicative in the level: for N = prod p^e,
+    # the value at (N, d, delta) is the product over p of the values at
+    # (p^e, p^v_p(d), p^v_p(delta)), which a Kronecker product of the
+    # prime-power order matrices relies on
+    checked = 0
+    for N in range(2, 2001):
+        primes = factorize(N)
+        if len(primes) < 2:
+            continue
+        valuations = divisor_valuations(N)
+        for d in divisors_of(N):
+            for delta in divisors_of(N):
+                local = (
+                    order_coefficient(p**e, p ** valuations[p][d], p ** valuations[p][delta])
+                    for p, e in primes.items()
+                )
+                assert order_coefficient(N, d, delta) == prod(local), (N, d, delta)
+                checked += 1
+    assert checked > 10**5
 
 
 def fraction_divisor(h):

@@ -442,3 +442,243 @@ def test_congruence_kernel():
     assert abs(IntMatrix(kernel).det()) == 12
     for vec in kernel:
         assert vec[0] % 3 == 0 and (vec[1] + vec[2]) % 4 == 0
+
+
+# The elimination kernels as they were before they worked on supports only:
+# a Smith reduction that scans the whole remaining block for the smallest
+# pivot and for the chain condition at every pivot, the Hermite form that
+# reduces every row below the pivot over its whole tail, and the congruence
+# kernel read from the transform of a Smith form of [rows | diag(moduli)].
+# They are the references for the kernels in `linalg`.
+
+
+def reference_smith_normal_form(a):
+    """(D, P, Q) with P * A * Q = D, by smallest-pivot elimination that keeps
+    the divisibility chain at every pivot."""
+    nr, nc = a.nrows, a.ncols
+    m = [list(row) for row in a]
+    p = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    q = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        for x in (m, p):
+            x[i], x[j] = x[j], x[i]
+
+    def add_row(dst, src, mult):
+        for x in (m, p):
+            x[dst] = [u + mult * v for u, v in zip(x[dst], x[src])]
+
+    def swap_cols(i, j):
+        for row in (*m, *q):
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(dst, src, mult):
+        for row in (*m, *q):
+            row[dst] += mult * row[src]
+
+    def smallest_pivot(t):
+        best, least = None, 0
+        for i in range(t, nr):
+            for j, x in enumerate(m[i][t:], t):
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+        return best
+
+    for t in range(min(nr, nc)):
+        if smallest_pivot(t) is None:
+            break
+        while True:
+            i, j = smallest_pivot(t)
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            if m[t][t] < 0:
+                add_row(t, t, -2)
+            for i in range(t + 1, nr):
+                quot = m[i][t] // m[t][t]
+                if quot:
+                    add_row(i, t, -quot)
+            for j in range(t + 1, nc):
+                quot = m[t][j] // m[t][t]
+                if quot:
+                    add_col(j, t, -quot)
+            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1 :]):
+                continue
+            bad = [i for i in range(t + 1, nr) if any(x % m[t][t] for x in m[i][t + 1 :])]
+            if not bad:
+                break
+            add_row(t, bad[0], 1)
+    return IntMatrix(m), IntMatrix(p), IntMatrix(q)
+
+
+def reference_hermite_row_basis(vectors):
+    """Row Hermite form reducing every row below the pivot over its whole tail."""
+    work = [list(v) for v in vectors if any(v)]
+    if not work:
+        return []
+    r = 0
+    for c in range(len(work[0])):
+        while True:
+            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
+            work[r], work[i0] = work[i0], work[r]
+            if work[r][c] < 0:
+                work[r] = [-x for x in work[r]]
+            pivot = work[r][c:]
+            done = True
+            for i in range(r + 1, len(work)):
+                quot = work[i][c] // pivot[0]
+                if quot:
+                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
+                if work[i][c] != 0:
+                    done = False
+            if done:
+                break
+        if any(work[i][c] != 0 for i in range(r, len(work))):
+            pivot = work[r][c:]
+            for i in range(r):
+                quot = work[i][c] // pivot[0]
+                if quot:
+                    work[i][c:] = [x - quot * y for x, y in zip(work[i][c:], pivot)]
+            r += 1
+            if r == len(work):
+                break
+    return work[:r]
+
+
+def reference_congruence_kernel(rows, moduli):
+    """Hermite basis of the congruence kernel, projected from the kernel
+    columns of Q in a Smith form of the bordered matrix [rows | diag(moduli)]."""
+    m = len(rows)
+    t = len(rows[0]) if rows else 0
+    if m == 0:
+        return [[int(i == j) for j in range(t)] for i in range(t)]
+    bordered = [list(rows[i]) + [moduli[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    d, _, q = reference_smith_normal_form(IntMatrix(bordered))
+    diag = d.diagonal()
+    kernel_cols = [j for j in range(t + m) if j >= len(diag) or diag[j] == 0]
+    return reference_hermite_row_basis([[q[i, j] for i in range(t)] for j in kernel_cols])
+
+
+def random_lattice_rows(rng, nrows, ncols, bound):
+    """Random integer rows, some of them built to be rank deficient, with
+    zero rows and negative entries."""
+    rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3 and nrows > 1:
+        # every row a combination of two, so the rank is at most 2
+        rows = [
+            [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[0], rows[1])]
+            for _ in range(nrows)
+        ]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows
+
+
+# diagonals and near-diagonals whose Smith form needs the gcd/lcm chain fix
+CHAIN_FIX_CASES = (
+    [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+    [[6, 0], [0, 4]],
+    [[2, 0], [0, 3]],
+    [[-4, 0, 0], [0, 6, 0], [0, 0, -9]],
+    [[10, 0, 0, 0], [0, 6, 0, 0], [0, 0, 4, 0], [0, 0, 0, 0]],
+    [[12, 0, 0], [0, 18, 0], [0, 0, 8], [0, 0, 0]],
+    [[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 10, 15]],
+    [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+)
+
+
+def test_smith_chain_fix_cases_match_the_reference_with_unimodular_transforms():
+    expected = {
+        0: [2, 2, 60],
+        1: [2, 12],
+        2: [1, 6],
+        3: [1, 6, 36],
+        4: [2, 2, 60, 0],
+    }
+    for k, rows in enumerate(CHAIN_FIX_CASES):
+        a = IntMatrix(rows)
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert snf.d == reference_smith_normal_form(a)[0], rows
+        if k in expected:
+            assert snf.d.diagonal() == expected[k]
+
+
+def test_smith_matches_the_chain_scanning_reference():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = random_lattice_rows(rng, nr, nc, rng.choice((3, 30, 10**6)))
+        a = IntMatrix(rows)
+        snf = smith_normal_form(a)
+        snf_is_valid(a, snf)
+        assert snf.d == reference_smith_normal_form(a)[0], rows
+        k = nc
+        invariants = [x for x in snf.d.diagonal() if x]
+        if len(invariants) < k:
+            with pytest.raises(ValueError):
+                cokernel(rows, k)
+        else:
+            assert cokernel(rows, k).invariant_factors == tuple(x for x in invariants if x > 1)
+
+
+def test_hermite_matches_the_unbounded_reference():
+    rng = random.Random(1979)
+    for _ in range(300):
+        rows = random_lattice_rows(rng, rng.randint(1, 8), rng.randint(1, 7), rng.choice((2, 9, 500)))
+        assert hermite_row_basis(rows) == reference_hermite_row_basis(rows), rows
+    assert hermite_row_basis([]) == [] and hermite_row_basis([[0, 0], [0, 0]]) == []
+
+
+def test_hermite_matches_the_reference_on_eta_divisor_rows():
+    from cuspidal.classgroup import _exponent_rows
+    from cuspidal.curve import cusp_degrees
+    from cuspidal.eta import _divisor_rows
+
+    for N in [*range(2, 150), 720, 1260]:
+        valuations = divisor_valuations(N)
+        deltas = list(cusp_degrees(N))
+        exponents = [[(d, r) for d, r in zip(deltas, v) if r] for v in _exponent_rows(N, valuations)]
+        rows = _divisor_rows(N, exponents, valuations)
+        assert hermite_row_basis(rows) == reference_hermite_row_basis(rows), N
+
+
+def test_congruence_kernel_matches_the_bordered_smith_reference():
+    rng = random.Random(1987)
+    for _ in range(200):
+        m, t = rng.randint(1, 4), rng.randint(1, 6)
+        rows = random_lattice_rows(rng, m, t, rng.choice((5, 50)))
+        moduli = [rng.choice((1, 2, 4, 24, 36, rng.randint(1, 500))) for _ in range(m)]
+        assert congruence_kernel(rows, moduli) == reference_congruence_kernel(rows, moduli)
+    assert congruence_kernel([], []) == reference_congruence_kernel([], []) == []
+
+
+def test_congruence_kernel_matches_the_reference_on_its_callers_inputs(monkeypatch):
+    """The Ligozat exponent lattices of X0(N) and the pq kernels modulo
+    |det W| = |C(pq)|, as `classgroup` and `jacobian` pass them."""
+    from cuspidal import classgroup, jacobian
+
+    seen = []
+
+    def recording(rows, moduli):
+        seen.append(([list(r) for r in rows], list(moduli)))
+        return congruence_kernel(rows, moduli)
+
+    monkeypatch.setattr(classgroup, "congruence_kernel", recording)
+    monkeypatch.setattr(jacobian, "congruence_kernel", recording)
+    for N in [*range(2, 120), 360, 420]:
+        classgroup.eta_unit_exponent_basis(N)
+    for p, q in ((13, 37), (13, 61), (37, 61), (13, 97)):
+        jacobian.pq_delta_kernel(p, q)
+    pq_moduli = {moduli[0] for _, moduli in seen[-4:]}
+    assert pq_moduli == {
+        classgroup.class_group_pq(p, q).order for p, q in ((13, 37), (13, 61), (37, 61), (13, 97))
+    }
+    for rows, moduli in seen:
+        assert congruence_kernel(rows, moduli) == reference_congruence_kernel(rows, moduli)
+        for x in congruence_kernel(rows, moduli):
+            assert all(sum(a * b for a, b in zip(r, x)) % mod == 0 for r, mod in zip(rows, moduli))

@@ -151,6 +151,24 @@ def test_eta_multiplier_matches_fraction_reference():
     assert checked == 5 * 3920  # coprime pairs (c, d) with |c|, |d| <= 40
 
 
+def test_upper_triangularize_gives_the_unique_normal_form():
+    # with A, C > 0 and 0 <= B < C the factor gamma in SL2(Z) is unique, so
+    # checking these conditions pins down the output
+    rng = random.Random(1979)
+    checked = 0
+    while checked < 2000:
+        m11, m12, m21, m22 = (rng.randint(-60, 60) for _ in range(4))
+        if rng.random() < 0.1:
+            m21 = 0
+        if m11 * m22 - m12 * m21 <= 0:
+            continue
+        (g11, g12, g21, g22), a, b, c = _upper_triangularize(m11, m12, m21, m22)
+        assert g11 * g22 - g12 * g21 == 1
+        assert a > 0 and c > 0 and 0 <= b < c
+        assert (g11 * a, g11 * b + g12 * c, g21 * a, g21 * b + g22 * c) == (m11, m12, m21, m22)
+        checked += 1
+
+
 def test_cusp_expansion_matches_fraction_reference():
     cases = []
     for p in (5, 7, 13, 23, 47, 257):
