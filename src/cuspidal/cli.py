@@ -163,13 +163,14 @@ def cmd_leading_coeffs(args):
     gens = prime_power_generators(p, n)
     names = ["f"] + [f"g{k}" for k in range(n - 1)]
     rows = []
+    etas = {}
     for name, h in zip(names, gens):
         symbolic = []
         residuals = []
         for m in range(n + 1):
             sigma = sigma_matrix(p, n, m)
             expansion = cusp_expansion(h, sigma)
-            numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200)
+            numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200, etas=etas)
             symbolic.append(str(expansion.leading))
             residuals.append(f"{abs(expansion.leading.as_complex() - numeric.value):.11e}")
         rows.append({"function": name, "symbolic": symbolic, "numeric_residual": residuals})

@@ -15,7 +15,7 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, lcm, log, log1p, pi
+from math import exp, gcd, lcm, log, log1p, pi, sqrt
 
 import mpmath as mp
 
@@ -68,7 +68,7 @@ class LeadingCoeff:
         return self**-1
 
     def as_complex(self) -> complex:
-        value = mp.e ** (2j * mp.pi * mp.mpf(self.phase.value.numerator) / self.phase.value.denominator)
+        value = mp.expjpi(mp.mpf(2 * self.phase.value.numerator) / self.phase.value.denominator)
         for p, v in self.half_exponents:
             value *= mp.mpf(p) ** (mp.mpf(v) / 2)
         return complex(value)
@@ -301,16 +301,19 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
 
 def _to_fundamental_domain(z):
     """(factor, w) with eta(z) = factor * eta(w) and w in the fundamental
-    domain (|Re w| <= 1/2, |w| >= 1), by integer shifts and inversions."""
+    domain (|Re w| <= 1/2, |w| >= 1), by integer shifts and inversions; the
+    shifts s are summed and their phase e(s/24) applied once."""
     factor = mp.mpc(1)
+    shifts = 0
     while True:
-        shift = mp.floor(mp.re(z) + mp.mpf("0.5"))
+        shift = int(mp.floor(z.real + 0.5))
         z -= shift
-        factor *= mp.e ** (mp.pi * 1j * shift / 12)
-        if abs(z) >= 1:
-            return factor, z
+        shifts += shift
+        if z.real**2 + z.imag**2 >= 1:
+            return factor * mp.expjpi(mp.mpf(shifts % 24) / 12), z
         z = -1 / z
-        factor *= mp.sqrt(z / 1j)
+        # sqrt(z / i), with z / i = Im z - i Re z
+        factor *= mp.sqrt(mp.mpc(z.imag, -z.real))
 
 
 # eta_numeric's product stops once its tail bound is below 2^-(prec + this)
@@ -335,6 +338,20 @@ def _eta_factor_count(y, terms):
     return min(terms, k)
 
 
+def _eta_product(q, count):
+    """prod_(j=1..count) (1 - q^j) as integers (re, im, bits), the product
+    being (re + i im) / 2^bits: q^j and the partial product are fixed-point
+    Gaussian integers, each product truncated back to bits = prec + 32."""
+    bits = mp.mp.prec + 2 * _ETA_GUARD_BITS
+    one = 1 << bits
+    qre, qim = int(mp.ldexp(q.real, bits)), int(mp.ldexp(q.imag, bits))
+    pre, pim, re, im = one, 0, one, 0
+    for _ in range(count):
+        pre, pim = (pre * qre - pim * qim) >> bits, (pre * qim + pim * qre) >> bits
+        re, im = (re * (one - pre) + im * pim) >> bits, (im * (one - pre) - re * pim) >> bits
+    return re, im, bits
+
+
 def eta_numeric(z, terms: int = 200):
     """Dedekind eta at a point of the upper half-plane (mpmath complex).
 
@@ -343,18 +360,19 @@ def eta_numeric(z, terms: int = 200):
     then stops as soon as the remaining factors cannot change the result at
     the working precision (at most about 24 factors at 50 digits); `terms`
     caps the number of factors.
+
+    The product runs in integers with prec + 32 fractional bits and becomes
+    an mpc once. Converting q and the at most 2 * count truncations each lose
+    under one unit of 2^-(prec+32) per part, and count < (prec + 16) / 7.8 + 2,
+    so below 10^5 bits the rounding stays under the 2^-(prec+16) per factor
+    that the oracle's error estimate carries.
     """
     z = mp.mpc(z)
-    if mp.im(z) <= 0:
+    if z.imag <= 0:
         raise ValueError("eta is defined on the upper half-plane")
     factor, z = _to_fundamental_domain(z)
-    q = mp.e ** (2j * mp.pi * z)
-    product = mp.mpc(1)
-    power = mp.mpc(1)
-    for _ in range(_eta_factor_count(mp.im(z), terms)):
-        power *= q
-        product *= 1 - power
-    return factor * mp.e ** (mp.pi * 1j * z / 12) * product
+    re, im, bits = _eta_product(mp.expjpi(2 * z), _eta_factor_count(z.imag, terms))
+    return factor * mp.expjpi(z / 12) * mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
 
 
 @dataclass(frozen=True)
@@ -364,33 +382,40 @@ class NumericLeadingCoeff:
 
 
 def numeric_leading_coefficient(
-    h: EtaQuotient, sigma: SigmaMatrix, expansion: CuspExpansion, height=8, terms: int = 200
+    h: EtaQuotient, sigma: SigmaMatrix, expansion: CuspExpansion, height=8, terms: int = 200, etas=None
 ) -> NumericLeadingCoeff:
     """Floating-point oracle: h(sigma . i*height) normalized by the
     `expansion.order`-th power of the uniformizer. Converges to the exact
     leading coefficient as the height grows; the error estimate comes from
     the next q-power of the expansion (`expansion.gap`), the truncation of
-    eta_numeric's product and the rounding of the value to a `complex`."""
+    eta_numeric's product and the rounding of the value to a `complex`.
+
+    Callers evaluating several quotients at one cusp pass one dict `etas`,
+    filled with eta(delta * sigma(i*height)) keyed by (delta, sigma, height,
+    terms), so that each point is evaluated once."""
     if height < 4:
         raise ValueError("height must be at least 4")
     if terms < 50:
         raise ValueError("terms must be at least 50")
+    etas = {} if etas is None else etas
     order, gap = expansion.order, expansion.gap
     with mp.workdps(50):
-        tau = mp.mpc(0, height)
-        w = sigma.act(tau)
+        w = sigma.act(mp.mpc(0, height))
         value = mp.mpc(1)
         for delta, r in h.exponents:
-            value *= eta_numeric(delta * w, terms) ** r
+            key = (delta, sigma, height, terms)
+            if key not in etas:
+                etas[key] = eta_numeric(delta * w, terms)
+            value *= etas[key] ** r
         # each product stops where its tail bound is below 2^-(prec+16), or
-        # at `terms` factors; after reduction |q| <= qmax, where the tail
-        # bound after `terms` factors is largest
-        qmax = mp.e ** (-mp.pi * mp.sqrt(3))
-        per_factor = max(mp.mpf(2) ** -(mp.mp.prec + _ETA_GUARD_BITS), _eta_tail_bound(qmax, terms))
+        # at `terms` factors; after reduction |q| <= e^(-pi sqrt(3)), where
+        # the tail bound after `terms` factors is largest
+        qmax = exp(-pi * sqrt(3))
+        per_factor = max(mp.ldexp(1, -(mp.mp.prec + _ETA_GUARD_BITS)), _eta_tail_bound(qmax, terms))
         truncation = sum(abs(r) for _, r in h.exponents) * per_factor
-        qtau = mp.e ** (2j * mp.pi * tau)
-        value *= qtau ** (-mp.mpf(order.numerator) / order.denominator)
-        next_term = mp.e ** (-2 * mp.pi * height * mp.mpf(gap.numerator) / gap.denominator)
+        # the uniformizer at i*height is the real number e^(-2 pi height)
+        value *= mp.exp(2 * mp.pi * height * mp.mpf(order.numerator) / order.denominator)
+        next_term = mp.exp(-2 * mp.pi * height * mp.mpf(gap.numerator) / gap.denominator)
         # complex() rounds each part of the value to 53 bits
         rounding = mp.mpf(2) ** -52
         estimate = float(abs(value) * (next_term + truncation + rounding) + mp.mpf(10) ** (-40))

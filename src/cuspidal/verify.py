@@ -17,7 +17,7 @@ import mpmath as mp
 from .classgroup import class_group, class_group_pq, determinant_claims, ling_structure, order_matrices
 from .eta import EtaQuotient, check_modular_function, divisor, order_at_cusp, pq_generators, prime_power_generators
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
-from .linalg import AbelianGroup, IntMatrix, smith_normal_form
+from .linalg import AbelianGroup, IntMatrix, _egcd, smith_normal_form
 from .transform import (
     LeadingCoeff,
     cusp_expansion,
@@ -126,6 +126,7 @@ def check_leading_coefficient_tables() -> CheckResult:
     entries lie below 1e-8, where only the relative gate can reject a wrong
     power of p."""
     cases = 0
+    etas = {}
     for p in (5, 13, 23, 47):
         for n in (2, 3):
             gens = prime_power_generators(p, n)
@@ -141,7 +142,7 @@ def check_leading_coefficient_tables() -> CheckResult:
                             False,
                             f"symbolic mismatch at (p, n, gen, m) = ({p}, {n}, {gen_index}, {m})",
                         )
-                    numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200)
+                    numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200, etas=etas)
                     if not agrees_with_oracle(expansion.leading.as_complex(), numeric.value):
                         return CheckResult(
                             "leading-coefficient-tables",
@@ -215,6 +216,7 @@ def check_pq_case() -> CheckResult:
         "f2": lambda p, q: [{q: 2}, {q: 2}, {}, {}],
         "f3": lambda p, q: [{}, {}, {}, {}],
     }
+    etas = {}
     for p, q in ((13, 37), (13, 61), (37, 61)):
         a = (p - 1) * (q + 1) // 24
         b = (p + 1) * (q - 1) // 24
@@ -240,6 +242,7 @@ def check_pq_case() -> CheckResult:
                     pq_sigma_matrix(p, q, level),
                     expansion,
                     height=suggested_height(expansion),
+                    etas=etas,
                 )
                 if not agrees_with_oracle(abs(lc.as_complex()), abs(numeric.value)):
                     return CheckResult(
@@ -312,15 +315,7 @@ def check_property_suites() -> CheckResult:
                 d = rng.randint(-30, 30)
                 if gcd(c, d) == 1:
                     break
-
-            def egcd(x, y):
-                if y == 0:
-                    return (1, 0, x)
-                u, v, g = egcd(y, x % y)
-                return (v, u - (x // y) * v, g)
-
-            u, v, g = egcd(d, -c)
-            a, b = u * g, v * g
+            _, a, b = _egcd(d, -c)
             if c < 0 or (c == 0 and d < 0):
                 a, b, c, d = -a, -b, -c, -d
             if c == 0:
@@ -328,7 +323,7 @@ def check_property_suites() -> CheckResult:
             tau = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 2.0))
             lhs = eta_numeric((a * tau + b) / (c * tau + d))
             phase = eta_multiplier(a, b, c, d)
-            eps = mp.e ** (2j * mp.pi * mp.mpf(phase.value.numerator) / phase.value.denominator)
+            eps = mp.expjpi(mp.mpf(2 * phase.value.numerator) / phase.value.denominator)
             rhs = eps * mp.sqrt((c * tau + d) / 1j) * eta_numeric(tau)
             if abs(lhs - rhs) / abs(lhs) >= 1e-10:
                 return CheckResult("property-suites", False, "eta transformation identity fails")

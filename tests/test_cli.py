@@ -1,5 +1,6 @@
 import json
 
+from cuspidal import transform
 from cuspidal.classgroup import ling_structure
 from cuspidal.cli import _decimal, main
 
@@ -329,3 +330,22 @@ def test_main_repeated_calls_match_fresh_processes(capsys):
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert [run_cli(capsys, *argv)[0] for argv in commands] == [0, 0, 2, 2, 0, 0]
+
+
+def test_each_eta_point_is_evaluated_once_per_command(capsys, monkeypatch):
+    eta_numeric = transform.eta_numeric
+    calls = []
+
+    def counted(z, terms=200):
+        calls.append(z)
+        return eta_numeric(z, terms)
+
+    monkeypatch.setattr(transform, "eta_numeric", counted)
+    # 11 cusps times the 11 divisors of 5^10; 3 pairs times 4 cusps times 4 divisors of pq
+    for argv, points in ((["leading-coeffs", "--p", "5", "--n", "10"], 121), (["verify", "--suite", "pq"], 48)):
+        # the second run evaluates every point again: nothing outlives a command
+        for _ in range(2):
+            calls.clear()
+            assert main(argv + ["--json"]) == 0
+            capsys.readouterr()
+            assert len(calls) == points, argv

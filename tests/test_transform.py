@@ -13,6 +13,7 @@ from cuspidal.transform import (
     LeadingCoeff,
     SigmaMatrix,
     _eta_factor_count,
+    _eta_product,
     _eta_tail_bound,
     _to_fundamental_domain,
     _upper_triangularize,
@@ -261,6 +262,67 @@ def test_eta_numeric_terms_caps_the_product():
                 assert 0 < change <= _eta_tail_bound(qabs, cap), (z, cap)
 
 
+def mpc_to_fundamental_domain(z):
+    """Reference reduction: the phase of every shift and the square root of
+    every inversion multiplied into the factor in mpc arithmetic."""
+    factor = mp.mpc(1)
+    while True:
+        shift = mp.floor(mp.re(z) + mp.mpf("0.5"))
+        z -= shift
+        factor *= mp.e ** (mp.pi * 1j * shift / 12)
+        if abs(z) >= 1:
+            return factor, z
+        z = -1 / z
+        factor *= mp.sqrt(z / 1j)
+
+
+def mpc_eta_product(q, count):
+    """Reference q-product: prod_(j=1..count) (1 - q^j) as an mpc loop."""
+    product = mp.mpc(1)
+    power = mp.mpc(1)
+    for _ in range(count):
+        power *= q
+        product *= 1 - power
+    return product
+
+
+def mpc_eta_numeric(z, terms=200):
+    """Reference eta_numeric: mpc reduction, e^x exponentials and the mpc loop."""
+    factor, z = mpc_to_fundamental_domain(mp.mpc(z))
+    product = mpc_eta_product(mp.e ** (2j * mp.pi * z), _eta_factor_count(mp.im(z), terms))
+    return factor * mp.e ** (mp.pi * 1j * z / 12) * product
+
+
+@pytest.mark.parametrize("dps", [15, 40, 50, 100])
+def test_eta_numeric_matches_the_mpc_reference(dps):
+    rng = random.Random(1618)
+    # a quarter of the random points lie below Im z = 1e-6 and take many
+    # inversions to reduce
+    points = _stopping_rule_points() + [
+        mp.mpc(rng.uniform(-3, 3), 10 ** rng.uniform(-9, -6) if k % 4 == 0 else rng.uniform(1e-3, 3))
+        for k in range(200)
+    ]
+    for z in points:
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            value, expected = eta_numeric(z), mpc_eta_numeric(z)
+            _, w = _to_fundamental_domain(mp.mpc(z))
+            assert w == mpc_to_fundamental_domain(mp.mpc(z))[1], z
+            q, count = mp.expjpi(2 * w), _eta_factor_count(mp.im(w), 200)
+            re, im, bits = _eta_product(q, count)
+        # the fixed-point product against the mpc loop run 64 bits finer
+        with mp.workprec(prec + 64):
+            reference = mpc_eta_product(q, count)
+            product = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
+            assert abs(product - reference) <= mp.ldexp(abs(reference), -(prec + 8)), (dps, z)
+        # the whole value against the reference at the same precision, which
+        # rounds at every step of its product and reduction; near the real
+        # axis the reference's phase e(shift/24) of each large shift loses
+        # about log2(shift) bits, so only the points above 1e-3 are compared
+        if mp.im(z) >= 1e-3:
+            assert abs(value - expected) <= mp.ldexp(abs(expected), -(prec - 6)), (dps, z)
+
+
 def test_sigma_matrix_examples():
     assert sigma_matrix(5, 2, 1).rows == ((1, 0), (5, 1))
     assert sigma_matrix(5, 2, 0).rows == ((-25, -1), (25, 0))
@@ -413,6 +475,20 @@ def test_pq_leading_coefficients_numeric():
             numeric = numeric_leading_coefficient(h, sigma, exp, height=suggested_height(exp))
             symbolic = exp.leading.as_complex()
             assert agrees_with_oracle(abs(symbolic), abs(numeric.value)), (name, level)
+
+
+def test_shared_eta_values_equal_fresh_ones():
+    cases = [(h, sigma_matrix(5, 4, m)) for h in prime_power_generators(5, 4) for m in range(5)]
+    cases += [(h, pq_sigma_matrix(13, 37, level)) for h in pq_generators(13, 37) for level in (1, 13, 37, 481)]
+    etas = {}
+    for h, sigma in cases:
+        exp = cusp_expansion(h, sigma)
+        height = suggested_height(exp)
+        shared = numeric_leading_coefficient(h, sigma, exp, height=height, etas=etas)
+        assert shared == numeric_leading_coefficient(h, sigma, exp, height=height), (h, sigma)
+    # one eta value per (delta, sigma, height), whichever quotient asked first
+    assert set(etas) == {(delta, sigma, suggested_height(cusp_expansion(h, sigma)), 200)
+                         for h, sigma in cases for delta, _ in h.exponents}
 
 
 def test_numeric_oracle_reports_error_estimate():
