@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 from cuspidal import transform
 from cuspidal.classgroup import ling_structure
 from cuspidal.cli import _decimal, main
+
+
+# `--json` reports recorded before the text output was derived from them;
+# each must still be reproduced byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +232,14 @@ def test_json_round_trip_and_determinism(capsys):
         assert first == second, argv  # byte-identical output
         report = json.loads(first)
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == first
+
+
+def test_json_reports_match_the_golden_file(capsys):
+    assert len(GOLDEN) == 14
+    for case in GOLDEN:
+        code, out, _ = run_cli(capsys, *case["argv"], "--json")
+        assert code == 0, case["argv"]
+        assert out == json.dumps(case["report"], indent=2, sort_keys=True) + "\n", case["argv"]
 
 
 def test_pq_command(capsys):
