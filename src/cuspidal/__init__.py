@@ -10,7 +10,6 @@ from .classgroup import (
     class_group_pq,
     eta_unit_divisor_lattice,
     eta_unit_exponent_basis,
-    ling_structure,
     order_matrices,
 )
 from .curve import Cusp, CuspDivisor, cusp_degrees, cusps
@@ -56,5 +55,6 @@ from .transform import (
     sigma_matrix,
     suggested_height,
 )
+from .verify import ling_structure
 
 __version__ = "0.1.0"

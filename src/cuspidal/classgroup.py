@@ -1,9 +1,9 @@
 """Cuspidal divisor class groups C(N) = D(N)/P(N) computed from lattices of
 eta-unit divisors, together with the order matrices M, U, V whose determinant
-identities certify the prime-power case."""
+identities (`verify.determinant_claims`) certify the prime-power case."""
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, ScopeError
@@ -104,24 +104,6 @@ def class_group(p: int, n: int) -> ClassGroupResult:
     return ClassGroupResult(N=p**n, group=group, generator_divisors=gen_divisors, certified=True)
 
 
-def ling_structure(p: int, n: int) -> AbelianGroup:
-    """Closed-form structure of C(p^n): (Z/a)^n x (Z/b)^(n-1) times an
-    explicit product of p-power cyclic factors depending on the parity of n."""
-    _require_odd_prime_scope(p)
-    if n < 1:
-        raise InputError("n must be positive")
-    a = (p - 1) // gcd(p - 1, 12)
-    b = (p + 1) // gcd(p + 1, 12)
-    orders = [a] * n + [b] * (n - 1)
-    if n % 2 == 0:
-        orders += [p**i for i in range(n // 2, n - 1)]
-        orders += [p**i for i in range(n // 2 + 1, n)]
-    else:
-        orders += [p**i for i in range((n + 1) // 2, n - 1)]
-        orders += [p**i for i in range((n + 1) // 2, n)]
-    return AbelianGroup.from_cyclic_orders(orders)
-
-
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
     """C(pq) for distinct primes p == q == 1 mod 12, from the three-unit lattice."""
     gen_divisors = _divisors(p * q, pq_generators(p, q))
@@ -149,22 +131,6 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
         v.append(row)
     v.append([1] * (n + 1))
     return OrderMatrices(p=p, n=n, m24=IntMatrix(m24), u=IntMatrix(u), v=IntMatrix(v))
-
-
-def determinant_claims(mats: OrderMatrices) -> dict:
-    """The four identities of the order matrices of X0(p^n), as name ->
-    (value, closed form): |det V|, det(24M), det U and the last-row sum of
-    VMU."""
-    p, n = mats.p, mats.n
-    a = (p - 1) // gcd(p - 1, 12)
-    b = (p + 1) // gcd(p + 1, 12)
-    exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
-    return {
-        "abs_det_v": (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12)),
-        "det_m_times_24": (mats.m24.det(), 24**n * (a * b) ** n * p**exponent),
-        "det_u": (mats.u.det(), prod(cusp_degrees(p**n).values())),
-        "vmu_last_row_sum": (sum(mats.vmu.row(n)), (n + 1) * p ** (n - 1) * (p + 1)),
-    }
 
 
 def _exponent_rows(N: int, valuations) -> list:

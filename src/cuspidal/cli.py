@@ -1,9 +1,13 @@
 """Command-line frontend.
 
-Every subcommand prints a plain-text table by default or a canonical JSON
-report with --json. Reports are deterministic: identical inputs produce
-byte-identical output (timing is only included when --timing is passed,
-since it would break that guarantee).
+Each subcommand handler returns its `inputs` and `results` and prints
+nothing. `main` joins them into one report with the command name (and,
+with --timing, `timing_seconds`). With --json it prints the report as
+canonical JSON; otherwise it renders the same report as text, key by key
+in sorted order, so the text shows exactly what the JSON holds. Reports
+are deterministic: identical inputs produce byte-identical output (timing
+is only included when --timing is passed, since it would break that
+guarantee).
 
 Exit codes: 0 on success, 2 on scope or usage errors (`ScopeError`,
 `NotModularError`, `InputError`), 1 on internal failures (an assertion, or
@@ -16,7 +20,7 @@ import json
 import sys
 import time
 
-from .classgroup import class_group, class_group_for_level, class_group_pq, determinant_claims, order_matrices
+from .classgroup import class_group, class_group_for_level, class_group_pq, order_matrices
 from .curve import cusps
 from .errors import InputError, NotModularError, ScopeError
 from .eta import EtaQuotient, check_modular_function, divisor, prime_power_generators
@@ -29,7 +33,7 @@ from .transform import (
     pq_leading_coefficients,
     sigma_matrix,
 )
-from .verify import CRITERIA, run_suite
+from .verify import CRITERIA, determinant_claims, pq_closed_forms, run_suite
 
 UNIFORMIZER_NOTE = (
     "evaluation-lattice entries depend on the cusp uniformizers; this tool "
@@ -58,28 +62,50 @@ def _matrix_payload(matrix):
     return [list(row) for row in matrix]
 
 
-def _parse_quotient(expression, level):
-    if level is None:
-        raise ScopeError("--level N is required")
-    return EtaQuotient.parse(expression, level)
+def _inline(value) -> str:
+    """A JSON value on one line: strings bare, lists in brackets, anything
+    else as JSON."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(_inline(x) for x in value) + "]"
+    return json.dumps(value, sort_keys=True)
+
+
+def _render(report: dict, indent: str = "") -> list:
+    """Text lines of a JSON object, keys in sorted order: `key: value` for a
+    scalar or a list of scalars, an indented block for a nested object, and
+    one indented line per row of a matrix (columns right-aligned) or per
+    record of a list of objects."""
+    lines = []
+    for key, value in sorted(report.items()):
+        if isinstance(value, dict):
+            lines += [f"{indent}{key}:", *_render(value, indent + "  ")]
+        elif value and isinstance(value, list) and all(isinstance(x, (list, dict)) for x in value):
+            lines.append(f"{indent}{key}:")
+            width = max((len(_inline(y)) for x in value if isinstance(x, list) for y in x), default=0)
+            for x in value:
+                if isinstance(x, list):
+                    lines.append(indent + "  " + "  ".join(_inline(y).rjust(width) for y in x))
+                else:
+                    lines.append(indent + "  " + "  ".join(f"{k}: {_inline(v)}" for k, v in sorted(x.items())))
+        else:
+            lines.append(f"{indent}{key}: {_inline(value)}")
+    return lines
 
 
 def cmd_cusps(args):
-    rows = cusps(args.N)
     results = {
         "cusps": [
             {"level": c.level, "conductor": c.conductor, "degree": c.degree, "width": c.width}
-            for c in rows
+            for c in cusps(args.N)
         ]
     }
-    lines = [f"cusps of X0({args.N})", "level  conductor  degree  width"]
-    for c in rows:
-        lines.append(f"{c.level:>5}  {c.conductor:>9}  {c.degree:>6}  {c.width:>5}")
-    return {"N": args.N}, results, lines
+    return {"N": args.N}, results
 
 
 def cmd_eta_check(args):
-    h = _parse_quotient(args.expression, args.level)
+    h = EtaQuotient.parse(args.expression, args.level)
     report = check_modular_function(h)
     results = {
         "expression": str(h),
@@ -91,25 +117,18 @@ def cmd_eta_check(args):
         },
         "modular": report.ok,
     }
-    lines = [f"eta quotient {h} on X0({args.level})"]
-    for name, value in results["conditions"].items():
-        lines.append(f"  {name:<22} {'pass' if value else 'FAIL'}")
-    lines.append(f"modular function: {'yes' if report.ok else 'no'}")
-    return {"expression": args.expression, "level": args.level}, results, lines
+    return {"expression": args.expression, "level": args.level}, results
 
 
 def cmd_divisor(args):
-    h = _parse_quotient(args.expression, args.level)
+    h = EtaQuotient.parse(args.expression, args.level)
     div = divisor(h)
     results = {
         "expression": str(h),
-        "coefficients": {str(d): str(div.coefficient(d)) for d in divisors_of(args.level)},
-        "degree": str(div.degree()),
+        "coefficients": {str(d): _decimal(div.coefficient(d)) for d in divisors_of(args.level)},
+        "degree": _decimal(div.degree()),
     }
-    lines = [f"div({h}) on X0({args.level})", f"  {div}", "level  coefficient"]
-    for d in divisors_of(args.level):
-        lines.append(f"{d:>5}  {div.coefficient(d)}")
-    return {"expression": args.expression, "level": args.level}, results, lines
+    return {"expression": args.expression, "level": args.level}, results
 
 
 def cmd_class_group(args):
@@ -126,21 +145,14 @@ def cmd_class_group(args):
         "certified": result.certified,
         "generators": [str(d) for d in result.generator_divisors],
     }
-    lines = [
-        f"cuspidal class group of X0({result.N})",
-        f"  structure: {result.group}",
-        f"  order:     {_decimal(result.group.order)}",
-        f"  certified: {'yes' if result.certified else 'no (upper-bound quotient)'}",
-    ]
     inputs = {"N": args.N} if args.N is not None else {"p": args.p, "n": args.n}
-    return inputs, results, lines
+    return inputs, results
 
 
 def cmd_matrices(args):
     mats = order_matrices(args.p, args.n)
-    p, n = args.p, args.n
     claims = {
-        name: {"value": str(value), "expected": str(expected), "ok": value == expected}
+        name: {"value": _decimal(value), "expected": _decimal(expected), "ok": value == expected}
         for name, (value, expected) in determinant_claims(mats).items()
     }
     results = {
@@ -149,13 +161,7 @@ def cmd_matrices(args):
         "v": _matrix_payload(mats.v),
         "claims": claims,
     }
-    lines = [f"order matrices for X0({p}^{n})", "24*M:", str(mats.m24), "U:", str(mats.u), "V:", str(mats.v)]
-    for name, claim in claims.items():
-        lines.append(
-            f"  {name:<18} {claim['value']} == {claim['expected']}  "
-            f"{'pass' if claim['ok'] else 'FAIL'}"
-        )
-    return {"p": p, "n": n}, results, lines
+    return {"p": args.p, "n": args.n}, results
 
 
 def cmd_leading_coeffs(args):
@@ -174,31 +180,17 @@ def cmd_leading_coeffs(args):
             symbolic.append(str(expansion.leading))
             residuals.append(f"{abs(expansion.leading.as_complex() - numeric.value):.11e}")
         rows.append({"function": name, "symbolic": symbolic, "numeric_residual": residuals})
-    results = {"cusp_indices": list(range(n + 1)), "rows": rows}
-    lines = [f"leading coefficients on X0({p}^{n}) (columns: cusp index m = 0..{n})"]
-    for row in rows:
-        lines.append(f"{row['function']}:")
-        for m, (sym, res) in enumerate(zip(row["symbolic"], row["numeric_residual"])):
-            lines.append(f"  m={m}: {sym}   (numeric residual {res})")
-    return {"p": p, "n": n}, results, lines
+    return {"p": p, "n": n}, {"cusp_indices": list(range(n + 1)), "rows": rows}
 
 
 def cmd_delta(args):
     matrix = delta_matrix(args.p, args.n)
-    cokernel = delta_cokernel(matrix)
     results = {
         "matrix": _matrix_payload(matrix),
-        "cokernel": _group_payload(cokernel),
+        "cokernel": _group_payload(delta_cokernel(matrix)),
         "uniformizers": UNIFORMIZER_NOTE,
     }
-    lines = [
-        f"evaluation matrix for X0({args.p}^{args.n}) "
-        "(rows: div f, div g_k; columns: p, sqrt(p*) coordinates)",
-        str(matrix),
-        f"cokernel: {cokernel} (order {_decimal(cokernel.order)})",
-        f"note: {UNIFORMIZER_NOTE}",
-    ]
-    return {"p": args.p, "n": args.n}, results, lines
+    return {"p": args.p, "n": args.n}, results
 
 
 def cmd_torsion(args):
@@ -216,15 +208,7 @@ def cmd_torsion(args):
             "conditional": result.conditional,
             "note": result.note,
         }
-        lines = [
-            f"generalized-Jacobian torsion for X0({p}*{q})",
-            f"  order:    {_decimal(result.order)}",
-            f"  kernel:   {result.kernel}",
-            f"  mu part:  {result.mu_part}",
-            f"  up to 2-torsion: {result.up_to_2_torsion} (conditional)",
-            f"  note: {result.note}",
-        ]
-        return {"pq": [p, q]}, results, lines
+        return {"pq": [p, q]}, results
     if args.p is None or args.n is None:
         raise ScopeError("torsion needs --p P --n K or --pq P Q")
     result = generalized_torsion(args.p, args.n)
@@ -234,13 +218,7 @@ def cmd_torsion(args):
         "kernel": _group_payload(result.kernel),
         "mu_part": _group_payload(result.mu_part),
     }
-    flag = "conditional on the cuspidal-torsion conjecture" if result.conditional else "unconditional"
-    lines = [
-        f"generalized-Jacobian torsion for X0({args.p}^{args.n})",
-        f"  group: {result.group} ({flag})",
-        f"  order: {_decimal(result.order)}",
-    ]
-    return {"p": args.p, "n": args.n}, results, lines
+    return {"p": args.p, "n": args.n}, results
 
 
 def cmd_pq(args):
@@ -248,19 +226,17 @@ def cmd_pq(args):
     group_result = class_group_pq(p, q)
     table = pq_leading_coefficients(p, q)
     kernel_result = pq_delta_kernel(p, q, table, group_result.generator_divisors)
-    a = (p - 1) * (q + 1) // 24
-    b = (p + 1) * (q - 1) // 24
-    c = (p - 1) * (q - 1) // 24
+    a, b, c, order = pq_closed_forms(p, q)
     levels = (1, p, q, p * q)
     magnitudes = {
         name: [str(_magnitude(table[name][level].leading)) for level in levels] for name in table
     }
     results = {
-        "a": str(a),
-        "b": str(b),
-        "c": str(c),
+        "a": _decimal(a),
+        "b": _decimal(b),
+        "c": _decimal(c),
         "class_group": _group_payload(group_result.group),
-        "order_formula_4abc": str(4 * a * b * c),
+        "order_formula_4abc": _decimal(order),
         "kernel": _group_payload(kernel_result.kernel),
         "mu_part": _group_payload(kernel_result.mu_part),
         "torsion_order": _decimal(kernel_result.order),
@@ -268,17 +244,7 @@ def cmd_pq(args):
         "cusp_levels": list(levels),
         "leading_coefficient_magnitudes": magnitudes,
     }
-    lines = [
-        f"X0({p}*{q}): a = {a}, b = {b}, c = {c}",
-        f"  class group: {group_result.group} (order {_decimal(group_result.group.order)} = 4abc = {4*a*b*c})",
-        f"  connecting-map kernel: {kernel_result.kernel}",
-        f"  torsion order: {_decimal(kernel_result.order)}; {kernel_result.note}",
-        "  leading-coefficient magnitudes (up to sign), cusps "
-        + ", ".join(str(level) for level in levels) + ":",
-    ]
-    for name in ("f1", "f2", "f3"):
-        lines.append(f"    {name}: " + "  ".join(magnitudes[name]))
-    return {"p": p, "q": q}, results, lines
+    return {"p": p, "q": q}, results
 
 
 def _magnitude(lc):
@@ -286,19 +252,15 @@ def _magnitude(lc):
 
 
 def cmd_verify(args):
-    results = run_suite(args.suite)
-    payload = {
+    checks = run_suite(args.suite)
+    results = {
         "suite": args.suite,
         "results": [
-            {"criterion": r.criterion, "passed": r.passed, "detail": r.detail} for r in results
+            {"criterion": r.criterion, "passed": r.passed, "detail": r.detail} for r in checks
         ],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": all(r.passed for r in checks),
     }
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.criterion:<26} {r.detail}")
-    lines.append("all criteria passed" if payload["all_passed"] else "FAILURES present")
-    return {"suite": args.suite}, payload, lines
+    return {"suite": args.suite}, results
 
 
 @functools.cache
@@ -396,7 +358,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     start = time.monotonic()
     try:
-        inputs, results, lines = args.handler(args)
+        inputs, results = args.handler(args)
     except (ScopeError, NotModularError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,17 +368,10 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.monotonic() - start
-    if args.json:
-        report = {"command": args.command, "inputs": inputs, **results}
-        if args.timing:
-            report["timing_seconds"] = elapsed
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        if args.timing:
-            print(f"elapsed: {elapsed:.3f}s")
+    report = {"command": args.command, "inputs": inputs, **results}
+    if args.timing:
+        report["timing_seconds"] = time.monotonic() - start
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json else "\n".join(_render(report)))
     if args.command == "verify" and not results["all_passed"]:
         return 1
     return 0

@@ -73,45 +73,17 @@ class CuspDivisor:
                 items.append((d, r))
         return cls(N, tuple(items))
 
-    @classmethod
-    def zero(cls, N) -> "CuspDivisor":
-        return cls(N, ())
-
     def coefficient(self, d) -> int:
         for level, c in self.coefficients:
             if level == d:
                 return c
         return 0
 
-    @property
-    def support(self):
-        return tuple(d for d, _ in self.coefficients)
-
     def degree(self) -> int:
         """Degree as a divisor on the curve over Q: coefficients weighted by
         the residue-field degrees of the cusps."""
         degrees = cusp_degrees(self.N)
         return sum(c * degrees[d] for d, c in self.coefficients)
-
-    def __add__(self, other):
-        if not isinstance(other, CuspDivisor) or other.N != self.N:
-            return NotImplemented
-        merged = dict(self.coefficients)
-        for d, c in other.coefficients:
-            merged[d] = merged.get(d, 0) + c
-        return CuspDivisor.make(self.N, merged)
-
-    def __neg__(self):
-        return CuspDivisor(self.N, tuple((d, -c) for d, c in self.coefficients))
-
-    def __sub__(self, other):
-        neg = -other
-        return self + neg
-
-    def __mul__(self, scalar):
-        return CuspDivisor.make(self.N, {d: c * scalar for d, c in self.coefficients})
-
-    __rmul__ = __mul__
 
     def __str__(self):
         if not self.coefficients:

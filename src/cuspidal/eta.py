@@ -59,12 +59,6 @@ class EtaQuotient:
             exponents[delta] = exponents.get(delta, 0) + r
         return cls.make(N, exponents)
 
-    def exponent(self, delta) -> int:
-        for d, r in self.exponents:
-            if d == delta:
-                return r
-        return 0
-
     def __mul__(self, other):
         if not isinstance(other, EtaQuotient) or other.N != self.N:
             return NotImplemented

@@ -29,20 +29,6 @@ class QmodZ:
         if not (0 <= self.value < 1):
             raise ValueError(f"QmodZ value {self.value} not reduced into [0,1)")
 
-    def __add__(self, other):
-        return QmodZ((self.value + other.value) % 1)
-
-    def __sub__(self, other):
-        return QmodZ((self.value - other.value) % 1)
-
-    def __neg__(self):
-        return QmodZ(-self.value % 1)
-
-    def __mul__(self, k: int):
-        return QmodZ(self.value * k % 1)
-
-    __rmul__ = __mul__
-
     def __bool__(self):
         return self.value != 0
 
@@ -60,14 +46,6 @@ class IntMatrix:
         if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
         self.entries = entries
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
 
     @property
     def nrows(self):
@@ -103,9 +81,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
         )
 
-    def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.entries])
-
     def transpose(self):
         return IntMatrix(list(zip(*self.entries))) if self.entries else IntMatrix([])
 
@@ -139,14 +114,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
-
-    def __str__(self):
-        if not self.entries:
-            return "[]"
-        width = max(len(str(x)) for row in self.entries for x in row)
-        return "\n".join(
-            "[" + "  ".join(str(x).rjust(width) for x in row) + "]" for row in self.entries
-        )
 
 
 @dataclass(frozen=True)
@@ -295,11 +262,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors
-
-    def __str__(self):
-        if not self.invariant_factors:
-            return "trivial"
-        return " x ".join(f"Z/{f}" for f in self.invariant_factors)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT

@@ -54,19 +54,6 @@ class LeadingCoeff:
     def magnitude_half_exponents(self) -> dict:
         return dict(self.half_exponents)
 
-    def __mul__(self, other):
-        merged = dict(self.half_exponents)
-        for p, v in other.half_exponents:
-            merged[p] = merged.get(p, 0) + v
-        return LeadingCoeff.make(self.phase + other.phase, merged)
-
-    def __pow__(self, k: int):
-        return LeadingCoeff.make(k * self.phase, {p: v * k for p, v in self.half_exponents})
-
-    @property
-    def inverse(self) -> "LeadingCoeff":
-        return self**-1
-
     def as_complex(self) -> complex:
         value = mp.expjpi(mp.mpf(2 * self.phase.value.numerator) / self.phase.value.denominator)
         for p, v in self.half_exponents:
@@ -106,20 +93,10 @@ class SigmaMatrix:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    @property
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def act(self, tau):
         """Moebius action on a point of the upper half-plane (mpmath)."""
         tau = mp.mpc(tau)
         return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    def cusp(self):
-        """The image of infinity as a Fraction (None denotes infinity itself)."""
-        if self.c == 0:
-            return None
-        return Fraction(self.a, self.c)
 
 
 def jacobi_symbol(a: int, b: int) -> int:

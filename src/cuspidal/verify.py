@@ -1,5 +1,6 @@
 """Acceptance suites: every headline identity of the library checked at its
-stated tolerance, one result line per criterion.
+stated tolerance, one result line per criterion, and the closed forms they
+check against.
 
 These are the same checks the test suite runs; the CLI exposes them through
 the `verify` subcommand so the whole battery can be reproduced without
@@ -10,11 +11,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath as mp
 
-from .classgroup import class_group, class_group_pq, determinant_claims, ling_structure, order_matrices
+from .classgroup import OrderMatrices, _require_odd_prime_scope, class_group, class_group_pq, order_matrices
+from .curve import cusp_degrees
+from .errors import InputError
 from .eta import EtaQuotient, check_modular_function, divisor, order_at_cusp, pq_generators, prime_power_generators
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from .linalg import AbelianGroup, IntMatrix, _egcd, smith_normal_form
@@ -90,6 +93,50 @@ def agrees_with_oracle(exact, numeric) -> bool:
     alone passes any pair of values below 1e-8, such as 23^-7 against 23^-6."""
     residual = abs(exact - numeric)
     return residual < 1e-8 and residual < 1e-8 * abs(exact)
+
+
+def ling_structure(p: int, n: int) -> AbelianGroup:
+    """Closed-form structure of C(p^n): (Z/a)^n x (Z/b)^(n-1) times an
+    explicit product of p-power cyclic factors depending on the parity of n."""
+    _require_odd_prime_scope(p)
+    if n < 1:
+        raise InputError("n must be positive")
+    a = (p - 1) // gcd(p - 1, 12)
+    b = (p + 1) // gcd(p + 1, 12)
+    orders = [a] * n + [b] * (n - 1)
+    if n % 2 == 0:
+        orders += [p**i for i in range(n // 2, n - 1)]
+        orders += [p**i for i in range(n // 2 + 1, n)]
+    else:
+        orders += [p**i for i in range((n + 1) // 2, n - 1)]
+        orders += [p**i for i in range((n + 1) // 2, n)]
+    return AbelianGroup.from_cyclic_orders(orders)
+
+
+def determinant_claims(mats: OrderMatrices) -> dict:
+    """The four identities of the order matrices of X0(p^n), as name ->
+    (value, closed form): |det V|, det(24M), det U and the last-row sum of
+    VMU."""
+    p, n = mats.p, mats.n
+    a = (p - 1) // gcd(p - 1, 12)
+    b = (p + 1) // gcd(p + 1, 12)
+    exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
+    return {
+        "abs_det_v": (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12)),
+        "det_m_times_24": (mats.m24.det(), 24**n * (a * b) ** n * p**exponent),
+        "det_u": (mats.u.det(), prod(cusp_degrees(p**n).values())),
+        "vmu_last_row_sum": (sum(mats.vmu.row(n)), (n + 1) * p ** (n - 1) * (p + 1)),
+    }
+
+
+def pq_closed_forms(p: int, q: int) -> tuple:
+    """(a, b, c, 4abc) on X0(pq) for primes p == q == 1 mod 12, with
+    a = (p-1)(q+1)/24, b = (p+1)(q-1)/24 and c = (p-1)(q-1)/24: C(pq) has
+    order 4abc, and the connecting-map kernel is cyclic of order c."""
+    a = (p - 1) * (q + 1) // 24
+    b = (p + 1) * (q - 1) // 24
+    c = (p - 1) * (q - 1) // 24
+    return a, b, c, 4 * a * b * c
 
 
 def closed_form_generator_lc(p, n, gen_index, m) -> LeadingCoeff:
@@ -218,11 +265,9 @@ def check_pq_case() -> CheckResult:
     }
     etas = {}
     for p, q in ((13, 37), (13, 61), (37, 61)):
-        a = (p - 1) * (q + 1) // 24
-        b = (p + 1) * (q - 1) // 24
-        c = (p - 1) * (q - 1) // 24
+        _, _, c, order = pq_closed_forms(p, q)
         group = class_group_pq(p, q)
-        if group.order != 4 * a * b * c:
+        if group.order != order:
             return CheckResult("pq-case", False, f"class group order fails at ({p}, {q})")
         table = pq_leading_coefficients(p, q)
         kernel = pq_delta_kernel(p, q, table, group.generator_divisors).kernel

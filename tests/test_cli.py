@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 from cuspidal import transform
-from cuspidal.classgroup import ling_structure
+from cuspidal.verify import ling_structure
 from cuspidal.cli import _decimal, main
 
 
@@ -20,8 +20,14 @@ def run_cli(capsys, *argv):
 def test_cusps_table(capsys):
     code, out, err = run_cli(capsys, "cusps", "1")
     assert code == 0
-    assert "level" in out
-    assert out.count("\n") == 3  # header lines plus the single cusp
+    # the report's keys in sorted order, one line per cusp record
+    assert out == (
+        "command: cusps\n"
+        "cusps:\n"
+        "  conductor: 1  degree: 1  level: 1  width: 1\n"
+        "inputs:\n"
+        "  N: 1\n"
+    )
 
 
 def test_cusps_json(capsys):
@@ -53,8 +59,9 @@ def test_class_group_by_level(capsys):
 def test_torsion_prime_unconditional(capsys):
     code, out, _ = run_cli(capsys, "torsion", "--p", "5", "--n", "1")
     assert code == 0
-    assert "Z/2" in out
-    assert "unconditional" in out
+    lines = out.splitlines()
+    assert "invariant_factors: [2]" in lines
+    assert "conditional: false" in lines
 
 
 def test_torsion_json(capsys):
@@ -183,7 +190,97 @@ def test_order_past_4300_digits():
     assert digits[-50:] == str(order % 10**50).zfill(50)
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert f"  order:     {digits}\n" in done.stdout
+    assert f"\norder: {digits}\n" in done.stdout
+
+
+def from_digits(digits):
+    """int(digits) in chunks below any int-from-str digit limit."""
+    sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+    value = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i : i + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_matrices_past_4300_digits(capsys, monkeypatch):
+    big, other = 7**6000, -(3**10000)  # 5071 and 4772 digits
+    claims = {"det_m_times_24": (big, big), "det_u": (other, big)}
+    monkeypatch.setattr("cuspidal.cli.determinant_claims", lambda mats: claims)
+    code, out, err = run_cli(capsys, "matrices", "--p", "5", "--n", "2", "--json")
+    assert code == 0, err
+    report = json.loads(out)["claims"]
+    assert from_digits(report["det_m_times_24"]["value"]) == big
+    assert from_digits(report["det_u"]["value"]) == other
+    assert from_digits(report["det_u"]["expected"]) == big
+    assert [report[name]["ok"] for name in sorted(claims)] == [True, False]
+    code, text, err = run_cli(capsys, "matrices", "--p", "5", "--n", "2")
+    assert code == 0, err
+    assert f"    value: {report['det_u']['value']}\n" in text
+    assert text.count(f": {report['det_m_times_24']['value']}\n") == 3
+
+
+def scalar_leaves(value):
+    """Every string, number, boolean and null in a JSON value."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in scalar_leaves(v)]
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in scalar_leaves(v)]
+    return [value]
+
+
+def test_text_shows_every_scalar_of_the_json_report(capsys):
+    commands = [
+        ("cusps", "30"),
+        ("eta-check", "eta(1)^1 * eta(2)^-1", "--level", "2"),
+        ("divisor", "eta(25) * eta(1)^-1", "--level", "25"),
+        ("class-group", "--N", "36"),
+        ("matrices", "--p", "7", "--n", "3"),
+        ("leading-coeffs", "--p", "5", "--n", "2"),
+        ("delta", "--p", "7", "--n", "4"),
+        ("torsion", "--p", "5", "--n", "4"),
+        ("torsion", "--pq", "13", "37"),
+        ("pq", "--p", "13", "--q", "37"),
+        ("verify", "--suite", "determinants"),
+    ]
+    assert len({argv[0] for argv in commands}) == 10  # every subcommand
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, argv
+        report = json.loads(out)
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        for leaf in scalar_leaves(report):
+            shown = leaf if isinstance(leaf, str) else json.dumps(leaf)
+            assert shown in text, (argv, leaf)
+
+
+def test_text_golden_delta(capsys):
+    code, out, _ = run_cli(capsys, "delta", "--p", "5", "--n", "3")
+    assert code == 0
+    assert out == (
+        "cokernel:\n"
+        "  invariant_factors: [3]\n"
+        "  order: 3\n"
+        "command: delta\n"
+        "inputs:\n"
+        "  n: 3\n"
+        "  p: 5\n"
+        "matrix:\n"
+        "  3  0  0\n"
+        "  1  1  0\n"
+        "  1  2  1\n"
+        "uniformizers: evaluation-lattice entries depend on the cusp uniformizers; this tool "
+        "fixes the standard matrices (1 0; p^m 1) for m >= n/2 and (-p^(n-m) -1; p^n 0) for m < n/2\n"
+    )
+
+
+def test_timing_in_text_mode(capsys):
+    code, out, _ = run_cli(capsys, "cusps", "10", "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("timing_seconds: ")
+    assert float(lines[-1].removeprefix("timing_seconds: ")) >= 0
 
 
 def test_large_prime_level_is_quick():
@@ -257,7 +354,9 @@ def test_pq_command(capsys):
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "mazur")
     assert code == 0
-    assert out.startswith("PASS")
+    lines = out.splitlines()
+    assert lines[0] == "all_passed: true"
+    assert lines[lines.index("results:") + 1] == "  criterion: mazur-orders  detail: 44 primes match exactly  passed: true"
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
@@ -273,7 +372,8 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr("cuspidal.cli.run_suite", lambda name: [failing()])
     code, out, _ = run_cli(capsys, "verify", "--suite", "mazur")
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines()[0] == "all_passed: false"
+    assert "  criterion: mazur-orders  detail: forced failure for the exit-code test  passed: false\n" in out
 
 
 def test_run_suite_unknown_name():
