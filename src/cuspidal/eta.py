@@ -148,8 +148,7 @@ def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
     """Exact order of h at the cusps of level d."""
     if d < 1 or h.N % d != 0:
         raise InputError(f"{d} is not a divisor of {h.N}")
-    (orders,) = _orders24(h.N, [h.exponents])
-    return Fraction(orders[list(cusp_degrees(h.N)).index(d)], 24)
+    return Fraction(sum(r * order_coefficient(h.N, d, delta) for delta, r in h.exponents), 24)
 
 
 def _divisor_rows(N: int, rows, valuations) -> list:

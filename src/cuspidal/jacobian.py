@@ -14,9 +14,9 @@ from math import gcd
 
 from .classgroup import divisor_lattice_coordinates
 from .errors import InputError, ScopeError
-from .eta import EtaQuotient, divisor, pq_generators, prime_power_generators
+from .eta import divisor, pq_generators, prime_power_generators
 from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, is_prime
-from .transform import cusp_expansion, pq_leading_coefficients, sigma_matrix
+from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
 
 
 @dataclass(frozen=True)
@@ -58,34 +58,14 @@ def _adjugate(rows) -> tuple:
     return adj, sum(x * adj[j][0] for j, x in enumerate(rows[0]))
 
 
-def _lambda_image(h: EtaQuotient, p: int, sigmas: list) -> tuple:
-    """Image of div h under the unit-evaluation map on X0(p^n), with
-    `sigmas` the uniformizers of the cusps of levels p^0, ..., p^n: the
-    coordinates in the basis (p; sqrt(p*), ..., sqrt(p*)) of the leading
-    coefficient at the base cusp divided by the one at each other cusp,
-    roots of unity discarded."""
-    lcs = [cusp_expansion(h, sigma).leading for sigma in sigmas]
-    for lc in lcs:
-        foreign = [prime for prime, _ in lc.half_exponents if prime != p]
-        assert not foreign, f"unexpected primes {foreign} in a leading coefficient"
-    base = lcs[-1].half_exponent(p)
-    coords = []
-    for i in range(len(lcs) - 1):
-        diff = base - lcs[i].half_exponent(p)
-        if i == 0:
-            # the base and level-1 cusps are rational: the value is a plain
-            # power of p, so the half-exponent difference must be even
-            assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
-            coords.append(diff // 2)
-        else:
-            coords.append(diff)
-    return tuple(coords)
-
-
 def delta_matrix(p: int, n: int) -> IntMatrix:
     """Matrix of the unit-evaluation map on X0(p^n) in the bases
-    (div f, div g_0, ..., div g_(n-2)) and (p, sqrt(p*), ..., sqrt(p*)),
-    built from the exact leading-coefficient tables.
+    (div f, div g_0, ..., div g_(n-2)) and (p, sqrt(p*), ..., sqrt(p*)):
+    the leading coefficient at the base cusp over the one at each other
+    cusp, roots of unity discarded. Only p-parts count, and at the cusp of
+    sigma the one of prod eta(delta z)^r has half-exponent -sum r v_p(c) over
+    the factors with a square-root part (`_eta_factor`), so each pair
+    (p^k, sigma_m) is transformed once, into one table.
 
     Equals the lower-triangular matrix with diagonal (a', 1, ..., 1),
     a' = 12/gcd(p-1, 12), first column (a', 1, ..., 1) and interior
@@ -95,7 +75,25 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     if n < 1:
         raise InputError("n must be positive")
     sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
-    return IntMatrix([_lambda_image(h, p, sigmas) for h in prime_power_generators(p, n)])
+    # table[p^k][m] = v_p(c) for eta(p^k sigma_m z), or None if it has no
+    # square-root factor; the helper asserts that c has no other prime
+    table = {}
+    for k in range(n + 1):
+        valuations = [_eta_factor(p**k, sigma, (p,))[4] for sigma in sigmas]
+        table[p**k] = [None if v is None else v[0] for v in valuations]
+    rows = []
+    for h in prime_power_generators(p, n):
+        half = []
+        for m in range(n + 1):
+            factors = [(r, table[delta][m]) for delta, r in h.exponents if table[delta][m] is not None]
+            assert sum(r for r, _ in factors) == 0, "square-root factors failed to cancel"
+            half.append(-sum(r * v for r, v in factors))
+        # the base and level-1 cusps are rational: the value is a plain
+        # power of p, so the half-exponent difference must be even
+        diff = half[n] - half[0]
+        assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
+        rows.append([diff // 2] + [half[n] - half[m] for m in range(1, n)])
+    return IntMatrix(rows)
 
 
 def delta_cokernel(matrix: IntMatrix) -> AbelianGroup:

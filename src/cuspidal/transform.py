@@ -205,6 +205,27 @@ class CuspExpansion:
     gap: Fraction
 
 
+def _eta_factor(delta: int, sigma: SigmaMatrix, primes) -> tuple:
+    """(gamma, a, b, c, valuations) for the factor eta(delta * sigma z) =
+    eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w), m from
+    Weber's formula, w = (a z + b)/c, no square root if c_gamma = 0, and
+    eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...). `valuations` are the
+    exponents of `primes` in c, which must have no other prime factor, for
+    a factor with a square root, and None for one without."""
+    gamma, a, b, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
+    if gamma[2] == 0:
+        return gamma, a, b, c, None
+    rest, valuations = c, []
+    for prime in primes:
+        v = 0
+        while rest % prime == 0:
+            rest //= prime
+            v += 1
+        valuations.append(v)
+    assert rest == 1, f"{c} has a prime outside {primes}"
+    return gamma, a, b, c, valuations
+
+
 def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
     """Exact leading coefficient and order of h along the uniformizer of sigma.
 
@@ -229,21 +250,12 @@ def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
     sqrt_balance = 0
     factors = []
     for delta, r in h.exponents:
-        gamma, a, b, c = _upper_triangularize(
-            delta * sigma.a, delta * sigma.b, sigma.c, sigma.d
-        )
-        # eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w) for
-        # w = (a z + b)/c, or e(m/24) eta(w) if c_gamma = 0, where
-        # eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...)
-        if gamma[2] != 0:
-            # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(C);
+        gamma, a, b, c, valuations = _eta_factor(delta, sigma, primes)
+        if valuations is not None:
+            # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(c);
             # the common-angle parts cancel once the weights balance
-            rest = c
-            for prime in primes:
-                while rest % prime == 0:
-                    rest //= prime
-                    half[prime] = half.get(prime, 0) - r
-            assert rest == 1, f"{c} has a prime outside {primes}"
+            for prime, v in zip(primes, valuations):
+                half[prime] = half.get(prime, 0) - r * v
             sqrt_balance += r
         factors.append((r, _multiplier24(*gamma), a, b, c))
     assert sqrt_balance == 0, "square-root factors failed to cancel"

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -15,7 +15,7 @@ from cuspidal.classgroup import (
 )
 from cuspidal.curve import CuspDivisor
 from cuspidal.errors import ScopeError
-from cuspidal.eta import check_modular_function, divisor, pq_generators, prime_power_generators
+from cuspidal.eta import check_modular_function, divisor, order_coefficient, pq_generators, prime_power_generators
 from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
@@ -304,6 +304,60 @@ def test_class_group_for_level_order_equals_det():
         result = class_group_for_level(N)
         rows = [divisor_lattice_coordinates(E) for E in result.generator_divisors]
         assert result.order == abs(IntMatrix(rows).det()), N
+
+
+def subgroup_order(generators, moduli):
+    """Order of the subgroup of the product of the Z/m, m in `moduli`,
+    generated by `generators`: each generator adds the translates of the
+    group so far by its multiples, until a multiple falls back into it."""
+    group = {tuple(0 for _ in moduli)}
+    for g in generators:
+        grown, step = set(group), g
+        while step not in group:
+            grown.update(tuple((x + s) % m for x, s, m in zip(h, step, moduli)) for h in group)
+            step = tuple((s + x) % m for s, x, m in zip(step, g, moduli))
+        group = grown
+    return len(group)
+
+
+def ligozat_index(N):
+    """[Z_wt0 : E], E the exponent vectors of the eta quotients on X0(N) and
+    Z_wt0 the weight-zero ones: E is the kernel of Ligozat's conditions
+    r -> (sum r delta mod 24, sum r N/delta mod 24, sum r v_p(delta) mod 2
+    for each p | N) on Z_wt0, which the e_delta - e_N span, so the index is
+    the size of their image."""
+    primes = sorted(factorize(N))
+
+    def valuation(d, p):
+        return next(v for v in range(d.bit_length() + 1) if d % p ** (v + 1))
+
+    def image(d):
+        return (d % 24, N // d % 24) + tuple(valuation(d, p) % 2 for p in primes)
+
+    moduli = (24, 24) + (2,) * len(primes)
+    top = image(N)
+    generators = [tuple((x - y) % m for x, y, m in zip(image(d), top, moduli)) for d in divisors_of(N)[:-1]]
+    return subgroup_order(generators, moduli)
+
+
+def test_class_group_order_from_the_prime_power_order_matrices():
+    # |C(N)| = [Z_wt0 : E] * prod |det 24 M(p^a)|^(k/(a+1)) / (24^(k-1) psi(N))
+    # over the p^a || N, with k = d(N) and psi(N) = N prod (1 + 1/p): 24 M(N)
+    # is the Kronecker product of the 24 M(p^a), det(A (x) B) =
+    # det(A)^dim B det(B)^dim A, and the divisor of an eta quotient has
+    # degree (weight) psi(N) / 12. Nothing here takes the lattice path.
+    dets = {}
+    for N in list(range(1, 1001)) + [5040, 9240]:
+        primes = factorize(N)
+        for p, a in primes.items():
+            if (p, a) not in dets:
+                m24 = [[order_coefficient(p**a, p**j, p**i) for j in range(a + 1)] for i in range(a + 1)]
+                dets[p, a] = abs(IntMatrix(m24).det())
+        k = len(divisors_of(N))
+        psi = N * prod(p + 1 for p in primes) // prod(primes)
+        numerator = ligozat_index(N) * prod(dets[p, a] ** (k // (a + 1)) for p, a in primes.items())
+        order, rest = divmod(numerator, 24 ** (k - 1) * psi)
+        assert rest == 0 and order == class_group_for_level(N).order, N
 
 
 def test_class_group_for_level_known_value():

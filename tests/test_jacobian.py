@@ -16,7 +16,7 @@ from cuspidal.jacobian import (
     pq_delta_kernel,
 )
 from cuspidal.linalg import AbelianGroup, IntMatrix, congruence_kernel, solve_exact
-from cuspidal.transform import pq_leading_coefficients
+from cuspidal.transform import SigmaMatrix, cusp_expansion, pq_leading_coefficients, sigma_matrix
 from test_linalg import quotient_structure
 
 
@@ -46,6 +46,44 @@ def test_delta_matrix_closed_form():
         assert delta_matrix(p, n) == closed_form_delta_matrix(p, n), (p, n)
 
 
+def reference_delta_matrix(p, n):
+    """delta_matrix through the full cusp expansions: the half-exponent of p
+    in the leading coefficient of each generator at each cusp, at the base
+    cusp minus at the others (halved at the rational level-1 cusp)."""
+    sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
+    rows = []
+    for h in prime_power_generators(p, n):
+        half = [cusp_expansion(h, sigma).leading.half_exponent(p) for sigma in sigmas]
+        assert (half[n] - half[0]) % 2 == 0
+        rows.append([(half[n] - half[0]) // 2] + [half[n] - half[m] for m in range(1, n)])
+    return IntMatrix(rows)
+
+
+def test_delta_matrix_matches_the_cusp_expansions():
+    cases = [(p, n) for p in (5, 7, 11, 13, 17, 19, 23, 37) for n in range(1, 11)]
+    for p, n in cases + [(5, 30), (7, 24), (13, 20)]:
+        assert delta_matrix(p, n) == reference_delta_matrix(p, n), (p, n)
+
+
+def test_delta_matrix_rejects_a_foreign_prime(monkeypatch, capsys):
+    # doubling the first row of every uniformizer doubles its determinant,
+    # so the c of each transformed eta factor picks up the prime 2
+    import cuspidal.jacobian as jacobian
+    from cuspidal.cli import main
+
+    def doubled(p, n, m):
+        sigma = sigma_matrix(p, n, m)
+        return SigmaMatrix(2 * sigma.a, 2 * sigma.b, sigma.c, sigma.d)
+
+    monkeypatch.setattr(jacobian, "sigma_matrix", doubled)
+    with pytest.raises(AssertionError, match="prime outside"):
+        jacobian.delta_matrix(5, 3)
+    assert main(["delta", "--p", "5", "--n", "3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prime outside" in captured.err
+
+
 def test_delta_matrix_determinant():
     for p in (5, 7, 11, 13):
         a_prime = 12 // gcd(p - 1, 12)
@@ -53,9 +91,14 @@ def test_delta_matrix_determinant():
             assert abs(delta_matrix(p, n).det()) == a_prime
 
 
-def test_delta_matrix_scope():
-    with pytest.raises(ScopeError):
-        delta_matrix(3, 2)
+def test_delta_matrix_scope(capsys):
+    from cuspidal.cli import main
+
+    for p in (3, 1, 0, -5):
+        with pytest.raises(ScopeError):
+            delta_matrix(p, 2)
+        assert main(["delta", "--p", str(p), "--n", "2"]) == 2
+        assert capsys.readouterr().err == f"error: p = {p} is not a prime >= 5\n"
 
 
 def test_delta_cokernel():
