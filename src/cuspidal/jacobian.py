@@ -15,7 +15,7 @@ from math import gcd
 from .classgroup import divisor_lattice_coordinates
 from .errors import InputError, ScopeError
 from .eta import divisor, pq_generators, prime_power_generators
-from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, is_prime
+from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime
 from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
 
 
@@ -44,18 +44,6 @@ class TorsionResult:
 def _require_p_at_least_5(p):
     if not is_prime(p) or p < 5:
         raise ScopeError(f"p = {p} is not a prime >= 5")
-
-
-def _adjugate(rows) -> tuple:
-    """(adj(A), det(A)) of a square integer matrix A, given by its rows,
-    from its minors: A . adj(A) = det(A) . I."""
-    n = len(rows)
-
-    def minor(i, j):
-        return IntMatrix([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]).det()
-
-    adj = [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
-    return adj, sum(x * adj[j][0] for j, x in enumerate(rows[0]))
 
 
 def delta_matrix(p: int, n: int) -> IntMatrix:
@@ -116,7 +104,9 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
 
     The evaluation matrix dm must be lower triangular with diagonal
     (a', 1, ..., 1). Then dm^T.y = e_0 back-substitutes to a'.y = e_0, so X
-    is the coordinate row of div f.
+    is the coordinate row of div f. This is the cokernel of the columns of
+    [W | dm] that `pq_delta_kernel` takes, W the coordinates of the
+    generator divisors, specialised to this dm; it needs only div f.
     """
     _require_p_at_least_5(p)
     a_prime = 12 // gcd(p - 1, 12)
@@ -127,7 +117,7 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
                 raise AssertionError("delta matrix is not lower triangular with diagonal (a', 1, ..., 1)")
     f = prime_power_generators(p, n)[0]
     quotient = gcd(a_prime, *divisor_lattice_coordinates(divisor(f)))
-    return AbelianGroup((quotient,)) if quotient > 1 else AbelianGroup.trivial()
+    return AbelianGroup.from_cyclic_orders([quotient])
 
 
 def mu_contribution(p: int, n: int) -> AbelianGroup:
@@ -199,19 +189,12 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
                 row.append(diff // 2)
         lc_rows.append(row)
     w = [divisor_lattice_coordinates(d) for d in generator_divisors]
-    # the extension of the evaluation map to the divisor lattice is
-    # W^-1 . lc_rows = adj(W) . lc_rows / det W, so x has an integral image
-    # exactly when x . adj(W) . lc_rows == 0 mod |det W|
-    adj_w, det_w = _adjugate(w)
-    assert det_w, "the pq generator divisors are linearly dependent"
-    image_cols = [[sum(adj_w[j][i] * lc_rows[i][c] for i in range(3)) for j in range(3)] for c in range(6)]
-    kernel_lattice = congruence_kernel(image_cols, [abs(det_w)] * 6)
-    # the kernel is that lattice K modulo the rows of W, whose coordinates
-    # in the basis K are W . adj(K) / det K
-    adj_k, det_k = _adjugate(kernel_lattice)
-    coords = [[sum(x * adj_k[i][j] for i, x in enumerate(row)) for j in range(3)] for row in w]
-    assert all(c % det_k == 0 for row in coords for c in row), "a unit divisor lies outside the kernel lattice"
-    kernel_group = cokernel([[c // det_k for c in row] for row in coords], 3)
+    assert IntMatrix(w).det(), "the pq generator divisors are linearly dependent"
+    # the kernel is {x in Z^3 : x . W^-1 . lc_rows integral} modulo the rows
+    # of W; with y = x . W^-1 it is {y in Q^3 : y . [W | lc_rows] integral}
+    # modulo Z^3, the dual of the lattice spanned by the nine columns of
+    # [W | lc_rows], so its structure is the cokernel of those columns
+    kernel_group = cokernel([*zip(*w), *zip(*lc_rows)], 3)
     mu = AbelianGroup((2, 2, 2))
     return TorsionResult(
         conditional=True,

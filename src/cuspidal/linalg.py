@@ -233,24 +233,13 @@ class AbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
-        """Invariant factors of a direct sum of cyclic groups of the given orders."""
-        primary = {}
-        for order in orders:
-            order = int(order)
-            if order < 1:
-                raise ValueError(f"cyclic order {order} must be positive")
-            for prime, exp in factorize(order).items():
-                primary.setdefault(prime, []).append(exp)
-        width = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for k in range(width):
-            f = 1
-            for prime, exps in primary.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    f *= prime ** exps_sorted[k]
-            factors.append(f)
-        return cls(tuple(sorted(factors)))
+        """Invariant factors of a direct sum of cyclic groups of the given
+        orders: the cokernel of the diagonal matrix of the sorted orders."""
+        orders = sorted(int(order) for order in orders)
+        if orders and orders[0] < 1:
+            raise ValueError(f"cyclic order {orders[0]} must be positive")
+        k = len(orders)
+        return cokernel([[x if i == j else 0 for j in range(k)] for i, x in enumerate(orders)], k)
 
     @property
     def order(self) -> int:

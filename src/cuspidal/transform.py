@@ -167,7 +167,7 @@ def pq_sigma_matrix(p: int, q: int, m: int) -> SigmaMatrix:
     if m not in (1, p, q, N):
         raise ScopeError(f"{m} is not a cusp level of X0({N})")
     comp = N // m
-    d = next(dd for dd in range(1, m + 1) if (dd * comp) % m == 1 % m)
+    d = pow(comp, -1, m) if m > 1 else 1
     b = (d * comp - 1) // m
     return SigmaMatrix(comp, -b, N, d * comp)
 

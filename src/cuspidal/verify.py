@@ -68,7 +68,7 @@ def check_mazur_orders() -> CheckResult:
     """C(p) cyclic of order (p-1)/gcd(p-1,12) for all primes 5 <= p < 200."""
     for p in _primes(5, 200):
         a = (p - 1) // gcd(p - 1, 12)
-        expected = AbelianGroup((a,)) if a > 1 else AbelianGroup.trivial()
+        expected = AbelianGroup.from_cyclic_orders([a])
         if class_group(p, 1).group != expected:
             return CheckResult("mazur-orders", False, f"mismatch at p = {p}")
     return CheckResult("mazur-orders", True, f"{len(_primes(5, 200))} primes match exactly")
@@ -214,7 +214,7 @@ def check_delta_matrix() -> CheckResult:
             matrix = delta_matrix(p, n)
             if matrix != IntMatrix(rows):
                 return CheckResult("delta-matrix", False, f"matrix mismatch at ({p}, {n})")
-            expected = AbelianGroup((a_prime,)) if a_prime > 1 else AbelianGroup.trivial()
+            expected = AbelianGroup.from_cyclic_orders([a_prime])
             if delta_cokernel(matrix) != expected:
                 return CheckResult("delta-matrix", False, f"cokernel mismatch at ({p}, {n})")
     return CheckResult("delta-matrix", True, "p in {5,7,11,13}, n in 1..5, matrix and cokernel")

@@ -304,6 +304,27 @@ def test_large_prime_level_is_quick():
     assert levels == [1, 1000000000000000009]
 
 
+def test_pq_with_a_large_prime_is_quick():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cuspidal
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
+    p, q = 13, 1000000009
+    done = subprocess.run(
+        [sys.executable, "-m", "cuspidal.cli", "torsion", "--pq", str(p), str(q), "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
+
+
 def test_unknown_subcommand_exit_code(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +16,7 @@ from cuspidal.jacobian import (
     mu_contribution,
     pq_delta_kernel,
 )
-from cuspidal.linalg import AbelianGroup, IntMatrix, congruence_kernel, solve_exact
+from cuspidal.linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, solve_exact
 from cuspidal.transform import SigmaMatrix, cusp_expansion, pq_leading_coefficients, sigma_matrix
 from test_linalg import quotient_structure
 
@@ -279,6 +280,70 @@ def test_pq_delta_kernel_matches_the_rational_route(p, q):
     result = pq_delta_kernel(p, q)
     assert result == rational_pq_delta_kernel(p, q)
     assert result.kernel == AbelianGroup(((p - 1) * (q - 1) // 24,))
+
+
+def adjugate(rows) -> tuple:
+    """(adj(A), det(A)) of a square integer matrix A, given by its rows,
+    from its minors: A . adj(A) = det(A) . I."""
+    n = len(rows)
+
+    def minor(i, j):
+        return IntMatrix([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]).det()
+
+    adj = [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
+    return adj, sum(x * adj[j][0] for j, x in enumerate(rows[0]))
+
+
+def adjugate_route_kernel(w, lc_rows):
+    """{x in Z^k : x . W^-1 . L integral} modulo the rows of W, by the
+    adjugate: x has an integral image exactly when x . adj(W) . L == 0 mod
+    |det W|, and the quotient is taken over Q. With no columns in L every x
+    qualifies (congruence_kernel cannot read k from zero rows)."""
+    k, m = len(w), len(lc_rows[0])
+    adj_w, det_w = adjugate(w)
+    image_cols = [[sum(adj_w[j][i] * lc_rows[i][c] for i in range(k)) for j in range(k)] for c in range(m)]
+    if m:
+        kernel_lattice = congruence_kernel(image_cols, [abs(det_w)] * m)
+    else:
+        kernel_lattice = [[int(i == j) for j in range(k)] for i in range(k)]
+    return quotient_structure(kernel_lattice, w)
+
+
+def test_kernel_is_the_cokernel_of_the_columns_of_w_and_l():
+    # the identity behind pq_delta_kernel: for W invertible, y = x . W^-1
+    # turns the kernel into {y in Q^k : y . [W | L] integral} / Z^k
+    rng = random.Random(24)
+    cases = 0
+    while cases < 400:
+        k, m = rng.randint(1, 4), rng.randint(0, 6)
+        w = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)]
+        if not IntMatrix(w).det():
+            continue
+        # a common factor of L's entries keeps most kernels nontrivial
+        scale = rng.choice((1, 2, 3, 4, 6))
+        lc_rows = [[scale * rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        expected = adjugate_route_kernel(w, lc_rows)
+        assert cokernel([*zip(*w), *zip(*lc_rows)], k) == expected, (w, lc_rows)
+        cases += 1
+
+
+@pytest.mark.parametrize("scale", [1, 6])
+def test_prime_power_kernel_is_the_cokernel_of_the_columns_of_w_and_delta(monkeypatch, scale):
+    # delta_kernel_on_cuspidal's closed form gcd(a', div f) against the
+    # general formula that pq_delta_kernel uses; scaling every divisor's
+    # coordinates by 6 makes the kernels nontrivial (of order a')
+    import cuspidal.jacobian as jacobian
+
+    def scaled(E):
+        return [scale * c for c in divisor_lattice_coordinates(E)]
+
+    monkeypatch.setattr(jacobian, "divisor_lattice_coordinates", scaled)
+    for p in (5, 7, 11, 13, 17):
+        for n in range(1, 9):
+            w = [scaled(d) for d in class_group(p, n).generator_divisors]
+            general = cokernel([*zip(*w), *zip(*delta_matrix(p, n))], n)
+            assert jacobian.delta_kernel_on_cuspidal(p, n) == general, (p, n)
+            assert general.order == (1 if scale == 1 else 12 // gcd(p - 1, 12))
 
 
 def test_pq_delta_kernel_scope():

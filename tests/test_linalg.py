@@ -305,6 +305,66 @@ def test_abelian_group_normalization():
     assert AbelianGroup.from_cyclic_orders([2, 10]).invariant_factors == (2, 10)
 
 
+def reference_from_cyclic_orders(orders) -> AbelianGroup:
+    """Invariant factors of a direct sum of cyclic groups by primary
+    decomposition: the k-th largest factor is the product, over the primes,
+    of the k-th largest prime-power part of the orders."""
+    primary = {}
+    for order in orders:
+        if order < 1:
+            raise ValueError(f"cyclic order {order} must be positive")
+        for prime, exp in factorize(order).items():
+            primary.setdefault(prime, []).append(exp)
+    width = max((len(v) for v in primary.values()), default=0)
+    factors = []
+    for k in range(width):
+        f = 1
+        for prime, exps in primary.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                f *= prime ** exps_sorted[k]
+        factors.append(f)
+    return AbelianGroup(tuple(sorted(factors)))
+
+
+def test_from_cyclic_orders_matches_the_primary_decomposition(monkeypatch):
+    from cuspidal.jacobian import mu_contribution
+    from cuspidal.verify import ling_structure
+
+    rng = random.Random(1880)
+    cases = [[], [1], [1, 1, 1]]
+    for _ in range(300):
+        size = rng.randint(0, 8)
+        kind = rng.choice(("small", "prime powers", "six digits"))
+        if kind == "small":
+            orders = [rng.randint(1, 60) for _ in range(size)]
+        elif kind == "prime powers":
+            orders = [rng.choice((2, 3, 5, 7)) ** rng.randint(0, 4) for _ in range(size)]
+        else:
+            orders = [rng.choice((1, rng.randint(100000, 999999))) for _ in range(size)]
+        cases.append(orders)
+    # the orders the program itself passes: mu parts and the closed form of C(p^n)
+    original = AbelianGroup.from_cyclic_orders.__func__
+
+    def recording(cls, orders):
+        cases.append(list(orders))
+        return original(cls, orders)
+
+    monkeypatch.setattr(AbelianGroup, "from_cyclic_orders", classmethod(recording))
+    for n in (30, 200):
+        mu_contribution(5, n)
+    for p in (5, 7, 11, 13, 17, 19):
+        for n in range(1, 9):
+            ling_structure(p, n)
+    monkeypatch.undo()
+    assert len(cases) == 303 + 2 + 48
+    for orders in cases:
+        assert AbelianGroup.from_cyclic_orders(orders) == reference_from_cyclic_orders(orders), orders
+    for orders in ([0], [4, 0, 6], [-3], [2, -1]):
+        with pytest.raises(ValueError, match="must be positive"):
+            AbelianGroup.from_cyclic_orders(orders)
+
+
 def test_abelian_group_validation():
     with pytest.raises(ValueError):
         AbelianGroup((1,))
@@ -656,9 +716,8 @@ def test_congruence_kernel_matches_the_bordered_smith_reference():
 
 
 def test_congruence_kernel_matches_the_reference_on_its_callers_inputs(monkeypatch):
-    """The Ligozat exponent lattices of X0(N) and the pq kernels modulo
-    |det W| = |C(pq)|, as `classgroup` and `jacobian` pass them."""
-    from cuspidal import classgroup, jacobian
+    """The Ligozat exponent lattices of X0(N), as `classgroup` passes them."""
+    from cuspidal import classgroup
 
     seen = []
 
@@ -667,15 +726,8 @@ def test_congruence_kernel_matches_the_reference_on_its_callers_inputs(monkeypat
         return congruence_kernel(rows, moduli)
 
     monkeypatch.setattr(classgroup, "congruence_kernel", recording)
-    monkeypatch.setattr(jacobian, "congruence_kernel", recording)
     for N in [*range(2, 120), 360, 420]:
         classgroup.eta_unit_exponent_basis(N)
-    for p, q in ((13, 37), (13, 61), (37, 61), (13, 97)):
-        jacobian.pq_delta_kernel(p, q)
-    pq_moduli = {moduli[0] for _, moduli in seen[-4:]}
-    assert pq_moduli == {
-        classgroup.class_group_pq(p, q).order for p, q in ((13, 37), (13, 61), (37, 61), (13, 97))
-    }
     for rows, moduli in seen:
         assert congruence_kernel(rows, moduli) == reference_congruence_kernel(rows, moduli)
         for x in congruence_kernel(rows, moduli):

@@ -351,6 +351,12 @@ def test_pq_sigma_matrix():
         assert sig.c % (p * q) == 0
     with pytest.raises(ScopeError):
         pq_sigma_matrix(13, 37, 7)
+    # d * comp == 1 mod m with the least positive d, as a search over 1..m finds it
+    for p, q in ((13, 37), (13, 61), (37, 61), (13, 73), (13, 97), (13, 1093), (37, 73), (61, 97)):
+        for m in (1, p, q, p * q):
+            comp = p * q // m
+            d = next(dd for dd in range(1, m + 1) if dd * comp % m == 1 % m)
+            assert pq_sigma_matrix(p, q, m) == SigmaMatrix(comp, -((d * comp - 1) // m), p * q, d * comp)
 
 
 def expected_generator_lc(p, n, gen_index, m):
