@@ -8,7 +8,7 @@ from math import gcd
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, NotModularError, ScopeError
-from .linalg import divisor_valuations, is_prime
+from .linalg import _record_factorization, divisor_valuations, is_prime
 
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
@@ -199,7 +199,8 @@ def pq_generators(p: int, q: int) -> list:
     """The three eta units on X0(pq) for distinct primes p, q == 1 mod 12."""
     if not (is_prime(p) and is_prime(q)) or p == q or p % 12 != 1 or q % 12 != 1:
         raise ScopeError(f"(p, q) = ({p}, {q}) must be distinct primes == 1 mod 12")
-    N = p * q
+    # the level's cusp table and valuations then need no search for p and q
+    N = _record_factorization({p: 1, q: 1})
     return [
         EtaQuotient.make(N, {1: 1, q: 1, p: -1, N: -1}),
         EtaQuotient.make(N, {1: 1, p: 1, q: -1, N: -1}),

@@ -7,7 +7,7 @@ Everything here is exact; no floating point is used anywhere in this module.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import InputError, ScopeError
 
@@ -126,10 +126,10 @@ class SmithDecomposition:
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transformation matrices: Euclid's algorithm on
-    each pivot's row and column, then one gcd/lcm step per pair of diagonal
-    entries (`_smith_reduce`). Every choice is a fixed function of the
-    input, so P and Q are deterministic."""
+    """Smith normal form with transformation matrices: one nearest-quotient
+    round and then extended-gcd steps on each pivot's row and column, then
+    one gcd/lcm step per pair of diagonal entries (`_smith_reduce`). Every
+    choice is a fixed function of the input, so P and Q are deterministic."""
     nr, nc = a.nrows, a.ncols
     m = [list(row) for row in a]
     p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
@@ -152,11 +152,16 @@ def _smith_reduce(m, p=None, q=()):
     each row operation to p and each column operation to q too, when they
     are given (Kannan-Bachem; Cohen, GTM 138, section 2.4).
 
-    Pivot t clears its row and column by Euclid's algorithm with nearest
-    quotients, moving their entry of least absolute value (row first) to
-    (t, t) each round. Row operations run over the pivot row's support,
-    column operations over the rows nonzero in the pivot column. One gcd/lcm
-    step per pair of diagonal entries then gives the chain d1 | d2 | ...."""
+    Each round of pivot t first moves the entry of least absolute value of
+    its row and column (row first) to (t, t). The first round reduces the
+    row and column with nearest quotients: row operations over the pivot
+    row's support, column operations over the rows nonzero in the pivot
+    column. A pivot that this round leaves stalled is finished by rounds of
+    extended-gcd steps (`_gcd_steps`), each of which leaves at (t, t) a
+    divisor of the pivot, a proper one unless the row and column clear. The
+    first round keeps the entries small: without it, the transforms of the
+    coordinate matrix of C(5^20) grow from 92 to 427 bits. One gcd/lcm step
+    per pair of diagonal entries then gives the chain d1 | d2 | ...."""
     nr, nc = len(m), len(m[0]) if m else 0
     p = [[] for _ in m] if p is None else p
     for t in range(min(nr, nc)):
@@ -164,6 +169,7 @@ def _smith_reduce(m, p=None, q=()):
         if found is None:
             break
         i, j = found
+        rounded = False
         while True:
             m[t], m[i], p[t], p[i] = m[i], m[t], p[i], p[t]
             if j != t:
@@ -179,6 +185,10 @@ def _smith_reduce(m, p=None, q=()):
                 i = t if j != t else next(k for k in rows if m[k][t] == x)
                 continue
             i = j = t
+            if rounded:
+                _gcd_steps(m, p, q, t, rows)
+                continue
+            rounded = True
             pivot_row = m[t]
             support = [t, *cols]
             for k in rows:
@@ -206,6 +216,48 @@ def _smith_reduce(m, p=None, q=()):
                 for row in q:
                     x, y = row[i], row[j]
                     row[i], row[j] = x + y, (u * a * y - v * b * x) // g
+
+
+def _unimodular(a: int, b: int) -> tuple:
+    """(u, v, s, w) with u*w - v*s = 1, u*a + v*b = gcd(a, b) up to sign and
+    s*a + w*b = 0: (1, 0, -b/a, 1) when a divides b, else from _egcd."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, u, v = _egcd(a, b)
+    return u, v, -b // g, a // g
+
+
+def _gcd_steps(m, p, q, t, rows):
+    """One extended-gcd round of pivot t: a unimodular 2x2 step of row t
+    with each row in `rows`, over their supports, then of column t with each
+    column nonzero in row t, over the rows nonzero in either column. A step
+    whose entry the pivot divides leaves row (column) t as it is, so it runs
+    over the support of row t (the rows nonzero in column t) alone."""
+    pivot_row, width = m[t], len(m[t])
+    support = [c for c in range(t, width) if pivot_row[c]]
+    for k in rows:
+        row = m[k]
+        u, v, s, w = _unimodular(pivot_row[t], row[t])
+        cols = [c for c in range(t, width) if pivot_row[c] or row[c]] if v else support
+        for c in cols:
+            x, y = pivot_row[c], row[c]
+            pivot_row[c], row[c] = u * x + v * y, s * x + w * y
+        if v:
+            support = [c for c in cols if pivot_row[c]]
+        pt, pk = p[t], p[k]
+        p[t] = [u * x + v * y for x, y in zip(pt, pk)]
+        p[k] = [s * x + w * y for x, y in zip(pt, pk)]
+    # the rows above t are zero from column t on
+    live = [row for row in (*m[t:], *q) if row[t]]
+    for c in support[1:]:  # support[0] is t, as the pivot is not 0
+        u, v, s, w = _unimodular(pivot_row[t], pivot_row[c])
+        if v:
+            live = [row for row in (*m[t:], *q) if row[t] or row[c]]
+        for row in live:
+            x, y = row[t], row[c]
+            row[t], row[c] = u * x + v * y, s * x + w * y
+        if v:
+            live = [row for row in live if row[t]]
 
 
 @dataclass(frozen=True)
@@ -262,14 +314,35 @@ _TRIAL_LIMIT = 256
 _RHO_STEPS = 1 << 16
 
 
+# Factorizations that callers already know, by their product, newest last
+# (`_record_factorization`); `factorize` returns them without a search.
+_RECORDED = {}
+
+
+def _record_factorization(factors: dict) -> int:
+    """Record {p: exponent} as the factorization of n, the product of its
+    prime powers, and return n. Each p must be certified prime by
+    `is_prime`; the eight latest records are kept."""
+    if not all(e > 0 and is_prime(p) for p, e in factors.items()):
+        raise ValueError(f"{factors} is not a factorization into primes")
+    n = prod(p**e for p, e in factors.items())
+    _RECORDED[n] = dict(sorted(factors.items()))
+    if len(_RECORDED) > 8:
+        del _RECORDED[next(iter(_RECORDED))]
+    return n
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization {p: exponent} of a positive integer: trial division
-    below 256, then perfect-power roots, Miller-Rabin and Pollard rho on what
-    is left. Raises ScopeError for a factor that is a probable prime of 3.3e24
-    or more, which cannot be certified, or a composite factor of that size in
+    """Prime factorization {p: exponent} of a positive integer: a recorded
+    one (`_record_factorization`), or trial division below 256, then
+    perfect-power roots, Miller-Rabin and Pollard rho on what is left.
+    Raises ScopeError for a factor that is a probable prime of 3.3e24 or
+    more, which cannot be certified, or a composite factor of that size in
     which Pollard rho finds no factor within 2^16 steps."""
     if n < 1:
         raise InputError("factorize expects a positive integer")
+    if n in _RECORDED:
+        return dict(_RECORDED[n])
     out = {}
     m = n
     p = 2

@@ -217,13 +217,19 @@ def _eta_factor(delta: int, sigma: SigmaMatrix, primes) -> tuple:
         return gamma, a, b, c, None
     rest, valuations = c, []
     for prime in primes:
-        v = 0
-        while rest % prime == 0:
-            rest //= prime
-            v += 1
+        v, rest = _valuation(rest, prime)
         valuations.append(v)
     assert rest == 1, f"{c} has a prime outside {primes}"
     return gamma, a, b, c, valuations
+
+
+def _valuation(n: int, p: int) -> tuple:
+    """(v, n // p**v) for the exponent v of p in n != 0, in O(log v)
+    divisions: by p, then by p^2, p^4, ... through the recursion."""
+    if n % p:
+        return 0, n
+    v, rest = _valuation(n // p, p * p)
+    return (2 * v + 2, rest // p) if rest % p == 0 else (2 * v + 1, rest)
 
 
 def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:

@@ -26,7 +26,7 @@ from cuspidal.linalg import (
     factorize,
     hermite_row_basis,
 )
-from cuspidal.verify import determinant_claims, ling_structure
+from cuspidal.verify import determinant_claims, ling_structure, pq_closed_forms
 from test_curve import divisor_basis, lambda_embedding
 from test_linalg import bordered_lattice_index, euler_phi, quotient_structure
 
@@ -117,6 +117,27 @@ def test_class_group_pq_examples():
     assert result.order == 4 * 31 * 35 * 30 == 130200
     with pytest.raises(ScopeError):
         class_group_pq(13, 17)
+
+
+def test_pq_path_takes_the_factorization_of_n_from_p_and_q(monkeypatch):
+    from cuspidal import linalg
+    from cuspidal.jacobian import pq_delta_kernel
+
+    p, q = 1000000000177, 1000000000189
+    search = linalg._pollard_rho
+
+    def no_search_on_n(n, steps=None):
+        assert gcd(n, p * q) == 1, f"Pollard rho ran on {n}"
+        return search(n, steps)
+
+    monkeypatch.setattr(linalg, "_pollard_rho", no_search_on_n)
+    _, _, c, order = pq_closed_forms(p, q)
+    assert class_group_pq(p, q).order == order
+    assert pq_delta_kernel(p, q).kernel == AbelianGroup((c,))
+    assert factorize(p * q) == {p: 1, q: 1}
+    for bad in ({p: 1, 2 * q: 1}, {p: 0}):
+        with pytest.raises(ValueError):
+            linalg._record_factorization(bad)
 
 
 def divisor_in_lattice(E, basis):

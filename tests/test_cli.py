@@ -304,25 +304,41 @@ def test_large_prime_level_is_quick():
     assert levels == [1, 1000000000000000009]
 
 
-def test_pq_with_a_large_prime_is_quick():
+def run_subprocess(*argv):
+    """The CLI's JSON report in a fresh interpreter, with a 60 s timeout."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import cuspidal
 
     env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
-    p, q = 13, 1000000009
     done = subprocess.run(
-        [sys.executable, "-m", "cuspidal.cli", "torsion", "--pq", str(p), str(q), "--json"],
+        [sys.executable, "-m", "cuspidal.cli", *argv, "--json"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
+    return json.loads(done.stdout)
+
+
+def test_pq_with_a_large_prime_is_quick():
+    p, q = 13, 1000000009
+    report = run_subprocess("torsion", "--pq", str(p), str(q))
+    assert report["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
+
+
+def test_pq_with_two_large_primes_is_quick():
+    """N = pq is factored from its inputs: Pollard rho on it would take
+    seconds for two 13-digit primes."""
+    p, q = 1000000000177, 1000000000189
+    report = run_subprocess("pq", "--p", str(p), "--q", str(q))
+    assert report["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
+    assert report["class_group"]["order"] == report["order_formula_4abc"]
+    torsion = run_subprocess("torsion", "--pq", str(p), str(q))
+    assert torsion["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
 
 
 def test_unknown_subcommand_exit_code(capsys):

@@ -669,7 +669,7 @@ def test_smith_chain_fix_cases_match_the_reference_with_unimodular_transforms():
 def test_smith_matches_the_chain_scanning_reference():
     rng = random.Random(20261018)
     for _ in range(300):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_lattice_rows(rng, nr, nc, rng.choice((3, 30, 10**6)))
         a = IntMatrix(rows)
         snf = smith_normal_form(a)
@@ -682,6 +682,48 @@ def test_smith_matches_the_chain_scanning_reference():
                 cokernel(rows, k)
         else:
             assert cokernel(rows, k).invariant_factors == tuple(x for x in invariants if x > 1)
+
+
+def transform_bits(a):
+    snf = smith_normal_form(a)
+    return max(abs(x).bit_length() for m in (snf.p, snf.q) for row in m for x in row)
+
+
+def test_smith_transforms_stay_small():
+    """The largest entries of P and Q, in bits, are at most those the
+    Euclid-only pivot rounds gave: on the property suite's matrices and on
+    the coordinate matrices of prime-power class groups."""
+    from cuspidal.classgroup import class_group, divisor_lattice_coordinates
+
+    rng = random.Random(987654321)  # as in verify.check_property_suites
+    bits = 0
+    for _ in range(200):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        a = IntMatrix([[rng.randint(-(10**6), 10**6) for _ in range(nc)] for _ in range(nr)])
+        bits = max(bits, transform_bits(a))
+    assert bits <= 1396
+    for p, n, bound in ((5, 20, 92), (5, 50, 252), (7, 40, 235)):
+        rows = [divisor_lattice_coordinates(d) for d in class_group(p, n).generator_divisors]
+        assert transform_bits(IntMatrix(rows)) <= bound, (p, n)
+
+
+def test_cokernel_matches_the_reference_on_class_group_coordinates(monkeypatch):
+    from cuspidal import classgroup
+
+    seen = []
+
+    def recording(rows, k):
+        seen.append(([list(r) for r in rows], k))
+        return cokernel(rows, k)
+
+    monkeypatch.setattr(classgroup, "cokernel", recording)
+    for N in [*range(1, 301), 5040]:
+        classgroup.class_group_for_level(N)
+    assert len(seen) == 300  # every level but N = 1
+    for rows, k in seen:
+        diagonal = reference_smith_normal_form(IntMatrix(rows))[0].diagonal()
+        assert len(diagonal) == k and all(diagonal)
+        assert cokernel(rows, k) == AbelianGroup(tuple(x for x in diagonal if x > 1)), rows
 
 
 def test_hermite_matches_the_unbounded_reference():

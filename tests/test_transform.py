@@ -17,6 +17,7 @@ from cuspidal.transform import (
     _eta_tail_bound,
     _to_fundamental_domain,
     _upper_triangularize,
+    _valuation,
     cusp_expansion,
     eta_multiplier,
     eta_numeric,
@@ -575,3 +576,26 @@ def test_sigma_matrix_rejects_nonpositive_determinant():
         SigmaMatrix(1, 0, 0, -1)
     with pytest.raises(ValueError):
         SigmaMatrix(0, 1, 1, 0)
+
+
+def reference_valuation(n, p):
+    """(v, n // p**v) by one division per unit of the exponent v."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def test_valuation_matches_the_one_division_per_unit_reference():
+    rng = random.Random(24)
+    for _ in range(400):
+        primes = rng.sample((2, 3, 5, 7, 11, 13, 37, 1000000007), rng.randint(1, 4))
+        exponents = [rng.choice((0, 1, 2, 3, rng.randint(0, 400))) for _ in primes]
+        c = 1
+        for prime, v in zip(primes, exponents):
+            c *= prime**v
+        for prime, v in zip(primes, exponents):
+            assert _valuation(c, prime) == reference_valuation(c, prime) == (v, c // prime**v)
+    for v in range(70):
+        assert _valuation(-(5**v) * 7, 5) == (v, -7)
