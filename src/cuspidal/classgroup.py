@@ -3,7 +3,7 @@ eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities (`verify.determinant_claims`) certify the prime-power case."""
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, ScopeError
@@ -76,15 +76,10 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
     cokernel of the matrix of these rows over a basis of the unit lattice."""
-    coeffs = dict(E.coefficients)
-    return _coordinates(E.N, [coeffs.get(d, 0) for d in cusp_degrees(E.N)])
-
-
-def _coordinates(N: int, coeffs) -> list:
-    """divisor_lattice_coordinates from the coefficients at every level, in order."""
-    if sum(c * phi for c, phi in zip(coeffs, cusp_degrees(N).values())):
+    if E.degree():
         raise ValueError("expected a degree-zero divisor")
-    return coeffs[:-1]
+    coeffs = dict(E.coefficients)
+    return [coeffs.get(d, 0) for d in cusp_degrees(E.N)][:-1]
 
 
 def _divisors(N: int, quotients) -> tuple:
@@ -169,13 +164,45 @@ def eta_unit_exponent_basis(N: int) -> list:
     return [EtaQuotient.make(N, dict(zip(deltas, vec))) for vec in rows]
 
 
+def _lattice_modulus(factors: dict) -> int:
+    """m(N) = prod over p^a || N of (p^2 - 1) p^(a-1), for N with the
+    factorization {p: a}: m(N) * Z^(k-1) lies in the lattice L of coordinates
+    (`divisor_lattice_coordinates`) of the eta-unit divisors on X0(N), where
+    k = d(N). So the exponent of C(N) divides m(N).
+
+    Proof. Write 24M(N) for the k x k matrix of order_coefficient(N, d,
+    delta), rows delta, columns d: the divisor of the eta quotient with
+    exponents r is r * 24M(N) / 24.
+    1. Let T(p, a) be tridiagonal with first row (p, -1, 0, ...), last row
+       (..., 0, -1, p) and, for 0 < j < a, row j equal to p^(min(j, a-j) - 1)
+       times (..., -p, p^2 + 1, -p, ...); for a = 1, T = [[p, -1], [-1, p]].
+       Then 24M(p^a) T(p, a) = (p^2 - 1) p^(a-1) I.
+    2. order_coefficient is multiplicative over the p^a || N, so 24M(N) is
+       the Kronecker product of the 24M(p^a), and T, the Kronecker product
+       of the T(p, a), is an integral matrix with 24M(N) T = T 24M(N) = m I.
+       Given z in Z^(k-1), let y be the degree-zero divisor with coordinates
+       z; it is integral, as the cusp Q_N has degree 1. Then x = y T is
+       integral and x 24M(N) = m y.
+    3. The eta quotient with exponents 24x has divisor m y, of degree 0. The
+       divisor of an eta quotient with exponents r has degree (sum r) psi(N)
+       / 24, so sum x = 0. Then 24x passes all four of Ligozat's conditions,
+       and m z, the coordinates of its divisor, lies in L."""
+    return prod((p * p - 1) * p ** (a - 1) for p, a in factors.items())
+
+
 def _unit_divisor_rows(N: int) -> list:
     """Hermite basis of the lattice of eta-unit divisors on X0(N), as integer
-    coefficient rows over the divisors of N in increasing order."""
+    coefficient rows over the divisors of N in increasing order. The Hermite
+    form runs on the coordinates, where the lattice has full rank, modulo
+    `_lattice_modulus`, and the coefficient at Q_N is then put back."""
     deltas = list(cusp_degrees(N))
     valuations = divisor_valuations(N)
     rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(N, valuations)]
-    return hermite_row_basis(_divisor_rows(N, rows, valuations))
+    coordinates = [row[:-1] for row in _divisor_rows(N, rows, valuations)]
+    modulus = _lattice_modulus({p: vals[N] for p, vals in valuations.items()})
+    basis = hermite_row_basis(coordinates, modulus)
+    degrees = list(cusp_degrees(N).values())
+    return [x + [-sum(c * phi for c, phi in zip(x, degrees))] for x in basis]
 
 
 def eta_unit_divisor_lattice(N: int) -> list:
@@ -186,10 +213,17 @@ def eta_unit_divisor_lattice(N: int) -> list:
     return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in _unit_divisor_rows(N)]
 
 
+# Largest number of cusp levels d(N) that the generic path takes on: its
+# worst case, N = 9699690 with 256 levels, takes about 2.5 s of CPU.
+MAX_GENERIC_LEVELS = 256
+
+
 def class_group_for_level(N: int) -> ClassGroupResult:
     """C(N) for arbitrary N, dispatching to a certified computation when the
     eta-unit lattice is known to fill out all principal cuspidal divisors and
-    flagging the result as an upper bound otherwise."""
+    flagging the result as an upper bound otherwise. A level outside the
+    certified families with more than MAX_GENERIC_LEVELS cusp levels raises
+    ScopeError before any lattice work."""
     if N < 1:
         raise InputError("level N must be positive")
     if N == 1:
@@ -205,8 +239,16 @@ def class_group_for_level(N: int) -> ClassGroupResult:
         p, q = sorted(factors)
         if p % 12 == 1 and q % 12 == 1:
             return class_group_pq(p, q)
+    levels = prod(a + 1 for a in factors.values())
+    if levels > MAX_GENERIC_LEVELS:
+        raise ScopeError(
+            f"N = {N} has {levels} cusp levels; the generic path takes at most {MAX_GENERIC_LEVELS}"
+        )
     deltas = list(cusp_degrees(N))
     rows = _unit_divisor_rows(N)
-    group = cokernel([_coordinates(N, row) for row in rows], len(deltas) - 1)
-    generators = tuple(CuspDivisor.make(N, dict(zip(deltas, row))) for row in rows)
+    group = cokernel([row[:-1] for row in rows], len(deltas) - 1)
+    # the rows are a checked Hermite basis, so the divisors need no re-validation
+    generators = tuple(
+        CuspDivisor(N, tuple((d, c) for d, c in zip(deltas, row) if c)) for row in rows
+    )
     return ClassGroupResult(N=N, group=group, generator_divisors=generators, certified=False)

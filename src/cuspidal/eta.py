@@ -5,6 +5,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .curve import CuspDivisor, cusp_degrees
 from .errors import InputError, NotModularError, ScopeError
@@ -155,21 +156,40 @@ def _divisor_rows(N: int, rows, valuations) -> list:
     """Integer coefficients, level by level in increasing order, of the
     divisors of the eta quotients on X0(N) with the given sparse exponent
     rows (`valuations` = divisor_valuations(N)). Failing Ligozat's test raises
-    NotModularError; a non-integral order or nonzero degree, AssertionError."""
+    NotModularError; a non-integral order or nonzero degree, AssertionError.
+    The four conditions are checked inline, and the EtaQuotient and its
+    LigozatReport are built only for the message of an error."""
     degrees = cusp_degrees(N)
+    phis = list(degrees.values())
+    # the primes of odd valuation in delta, as a bit mask: prod delta^r is a
+    # square when the masks of the deltas with odd r cancel
+    odd = dict.fromkeys(degrees, 0)
+    for i, vals in enumerate(valuations.values()):
+        for d, v in vals.items():
+            if v & 1:
+                odd[d] |= 1 << i
     out = []
     for row, orders in zip(rows, _orders24(N, rows)):
-        h = EtaQuotient(N, tuple(row))
-        report = _ligozat(N, row, valuations)
-        if not report.ok:
-            raise NotModularError(f"{h} is not a modular function on X0({N})", report)
-        for d, total in zip(degrees, orders):
-            if total % 24:
-                raise AssertionError(f"non-integral order {Fraction(total, 24)} of {h} at level {d}")
+        weight = sum_delta = sum_comp = square = 0
+        for d, r in row:
+            weight += r
+            sum_delta += r * d
+            sum_comp += r * (N // d)
+            if r & 1:
+                square ^= odd[d]
+        if weight or square or sum_delta % 24 or sum_comp % 24:
+            h = EtaQuotient(N, tuple(row))
+            raise NotModularError(f"{h} is not a modular function on X0({N})", _ligozat(N, row, valuations))
         coeffs = [total // 24 for total in orders]
-        degree = sum(c * phi for c, phi in zip(coeffs, degrees.values()))
+        # each total - 24 * (total // 24) lies in [0, 24), so they all vanish
+        # exactly when their sum does
+        if sum(orders) != 24 * sum(coeffs):
+            d, total = next((d, t) for d, t in zip(degrees, orders) if t % 24)
+            h = EtaQuotient(N, tuple(row))
+            raise AssertionError(f"non-integral order {Fraction(total, 24)} of {h} at level {d}")
+        degree = sum(map(mul, coeffs, phis))
         if degree != 0:
-            raise AssertionError(f"divisor of {h} has nonzero degree {degree}")
+            raise AssertionError(f"divisor of {EtaQuotient(N, tuple(row))} has nonzero degree {degree}")
         out.append(coeffs)
     return out
 

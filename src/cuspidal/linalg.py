@@ -531,18 +531,33 @@ def cokernel(rows, k: int) -> AbelianGroup:
     return AbelianGroup(tuple(d for d in diag if d > 1))
 
 
-def hermite_row_basis(vectors):
+def hermite_row_basis(vectors, modulus=None):
     """Canonical basis (row Hermite form) of the lattice generated by the rows:
     positive pivots, entries above each pivot reduced into [0, pivot), zero
     rows dropped. Each column works only on the rows nonzero there, over the
-    pivot row's support, and sets aside the rows that become zero."""
+    pivot row's support, and sets aside the rows that become zero.
+
+    `modulus`, when given, must be an m with m*Z^w inside the lattice (w the
+    row length), proven by the caller. Elimination stays exact until a new
+    pivot row holds an entry above m^2. From then on the entries of every row
+    past the current column are kept as centred residues mod m, and each
+    later column c is folded into one pivot row, starting from m*e_c, by
+    unimodular 2x2 steps (`_fold_column`; Domich-Kannan-Trotter 1987; Cohen,
+    GTM 138, Alg. 2.4.8). Both are exact row operations on the same lattice,
+    as m*e_j lies in it, so the canonical basis is the same. A wrong modulus
+    gives the basis of the lattice plus m*Z^w, without error."""
     rows = [list(v) for v in vectors if any(v)]
     width = len(rows[0]) if rows else 0
-    basis, zero = [], set()
+    basis = []
+    bound, m = modulus * modulus if modulus else None, None
     for c in range(width):
         nz = [row for row in rows if row[c]]
-        if not nz:
+        if m:
+            rows = [row for row in rows if not row[c]]
+            nz = [_fold_column(nz, c, m, width, rows)]
+        elif not nz:
             continue
+        zero = set()
         while len(nz) > 1:
             # least entry, then fewest nonzero entries, which keeps the rows sparse
             pivot = min(nz, key=lambda row: (abs(row[c]), len(row) - row.count(0)))
@@ -569,8 +584,50 @@ def hermite_row_basis(vectors):
             if quot:
                 for j, y in support:
                     row[j] -= quot * y
+                if m:
+                    _centre(row, range(c + 1, width), m)
         basis.append(pivot)
+        if bound and not m and max(max(pivot), -min(pivot)) > bound:
+            m = modulus
+            for row in (*basis, *rows):
+                _centre(row, range(c + 1, width), m)
+            rows = [row for row in rows if any(row)]
     return basis
+
+
+def _fold_column(nz, c, m, width, rest):
+    """The pivot row of column c in the bounded mode of `hermite_row_basis`:
+    m*e_c, then a unimodular 2x2 step of it with each row of `nz` (nonzero in
+    column c), which leaves a gcd at (pivot, c) and 0 in the row; a step
+    whose entry the pivot divides only changes the row. Entries past column
+    c are centred mod m; the rows left nonzero are appended to `rest`."""
+    pivot = [0] * width
+    pivot[c] = m
+    later = range(c + 1, width)
+    for row in nz:
+        u, v, s, w = _unimodular(pivot[c], row[c])
+        if v:
+            for j in later:
+                x, y = pivot[j], row[j]
+                pivot[j], row[j] = u * x + v * y, s * x + w * y
+            pivot[c], row[c] = u * pivot[c] + v * row[c], 0
+            _centre(pivot, later, m)
+        else:
+            for j in later:
+                row[j] += s * pivot[j]
+            row[c] = 0
+        _centre(row, later, m)
+        if any(row):
+            rest.append(row)
+    return pivot
+
+
+def _centre(row, columns, m):
+    """Replace row[j], for j in `columns`, by its residue mod m in (-m/2, m/2]."""
+    half = m // 2
+    for j in columns:
+        y = row[j] % m
+        row[j] = y - m if y > half else y
 
 
 def congruence_kernel(rows, moduli):

@@ -4,7 +4,9 @@ from math import gcd, prod
 import pytest
 
 from cuspidal.classgroup import (
+    MAX_GENERIC_LEVELS,
     ClassGroupResult,
+    _lattice_modulus,
     class_group,
     class_group_for_level,
     class_group_pq,
@@ -368,7 +370,7 @@ def test_class_group_order_from_the_prime_power_order_matrices():
     # det(A)^dim B det(B)^dim A, and the divisor of an eta quotient has
     # degree (weight) psi(N) / 12. Nothing here takes the lattice path.
     dets = {}
-    for N in list(range(1, 1001)) + [5040, 9240]:
+    for N in list(range(1, 1001)) + [5040, 9240, 27720, 30030, 55440]:
         primes = factorize(N)
         for p, a in primes.items():
             if (p, a) not in dets:
@@ -379,6 +381,45 @@ def test_class_group_order_from_the_prime_power_order_matrices():
         numerator = ligozat_index(N) * prod(dets[p, a] ** (k // (a + 1)) for p, a in primes.items())
         order, rest = divmod(numerator, 24 ** (k - 1) * psi)
         assert rest == 0 and order == class_group_for_level(N).order, N
+
+
+def tridiagonal_inverse(p, a):
+    """T(p, a) of `classgroup._lattice_modulus`: tridiagonal, with first row
+    (p, -1, 0, ...), last row (..., 0, -1, p) and, for 0 < j < a, row j equal
+    to p^(min(j, a-j) - 1) (..., -p, p^2 + 1, -p, ...)."""
+    t = [[0] * (a + 1) for _ in range(a + 1)]
+    t[0][0], t[0][1], t[a][a - 1], t[a][a] = p, -1, -1, p
+    for j in range(1, a):
+        scale = p ** (min(j, a - j) - 1)
+        t[j][j - 1], t[j][j], t[j][j + 1] = -p * scale, (p * p + 1) * scale, -p * scale
+    return t
+
+
+def test_order_matrix_times_its_tridiagonal_inverse_is_scalar():
+    # step 1 of the proof that m(N) Z^(k-1) lies in the divisor lattice
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, 11):
+            m24 = IntMatrix([[order_coefficient(p**a, p**j, p**i) for j in range(a + 1)] for i in range(a + 1)])
+            scalar = (p * p - 1) * p ** (a - 1)
+            identity = [[scalar if i == j else 0 for j in range(a + 1)] for i in range(a + 1)]
+            assert m24 * IntMatrix(tridiagonal_inverse(p, a)) == IntMatrix(identity), (p, a)
+            assert _lattice_modulus({p: a}) == scalar
+
+
+def test_exponent_of_the_class_group_divides_the_lattice_modulus():
+    # the exponent of Z^(k-1)/L divides m exactly when m Z^(k-1) lies in L
+    for N in [*range(2, 2001), 5040, 9240, 27720, 30030, 55440, 60060, 720720]:
+        factors = tuple(class_group_for_level(N).group.invariant_factors)
+        assert not factors or _lattice_modulus(factorize(N)) % factors[-1] == 0, N
+    assert _lattice_modulus(factorize(9240)) == 12 * 8 * 24 * 48 * 120
+
+
+def test_class_group_for_level_refuses_too_many_cusp_levels():
+    # 735134400 = 2^6 3^3 5^2 7 11 13 17 has 1344 cusp levels, 2^256 has 257
+    for N in (735134400, 2**256, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
+        with pytest.raises(ScopeError, match="cusp levels"):
+            class_group_for_level(N)
+    assert len(divisors_of(9699690)) == MAX_GENERIC_LEVELS
 
 
 def test_class_group_for_level_known_value():

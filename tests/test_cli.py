@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from cuspidal import transform
@@ -126,6 +127,14 @@ def test_scope_error_exit_code(capsys):
         code, out, err = run_cli(capsys, "class-group", "--p", p, "--n", "1")
         assert code == 2
         assert "p >= 5" in err
+
+
+def test_class_group_refuses_a_level_with_too_many_cusps_at_once(capsys):
+    # 735134400 has 1344 cusp levels; the generic path would run for hours
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "class-group", "--N", "735134400", "--json")
+    assert code == 2 and out == "" and "1344 cusp levels" in err
+    assert time.process_time() - start < 1
 
 
 def test_malformed_expression_exit_code(capsys):

@@ -747,6 +747,58 @@ def test_hermite_matches_the_reference_on_eta_divisor_rows():
         assert hermite_row_basis(rows) == reference_hermite_row_basis(rows), N
 
 
+def count_folds(monkeypatch):
+    """A list that grows by one for each column `hermite_row_basis` folds in
+    its bounded mode, that is, after the switch to residues mod m."""
+    from cuspidal import linalg
+
+    folds, fold = [], linalg._fold_column
+    monkeypatch.setattr(linalg, "_fold_column", lambda *args: folds.append(args[1]) or fold(*args))
+    return folds
+
+
+def test_bounded_hermite_matches_the_exact_form_on_random_lattices(monkeypatch):
+    folds = count_folds(monkeypatch)
+    rng = random.Random(1987)
+    switched = 0
+    for _ in range(400):
+        width, m = rng.randint(1, 7), rng.choice((2, 6, 24, 35, rng.randint(2, 2000)))
+        rows = random_lattice_rows(rng, rng.randint(1, 8), width, rng.choice((9, 500, 10**6)))
+        # m Z^w lies in the lattice, as the bounded form requires
+        rows += [[m if i == j else 0 for j in range(width)] for i in range(width)]
+        rng.shuffle(rows)
+        before = len(folds)
+        assert hermite_row_basis(rows, m) == hermite_row_basis(rows), (rows, m)
+        switched += len(folds) > before
+    # both the exact route and the switch to residues mod m are exercised
+    assert 40 < switched < 360, switched
+
+
+def test_bounded_hermite_matches_the_exact_form_on_divisor_lattices(monkeypatch):
+    """The coordinate rows and modulus m(N) that `_unit_divisor_rows` passes,
+    on every generic level up to 1000 and on larger composite levels."""
+    from cuspidal import classgroup
+
+    generic = [N for N in range(2, 1001) if not classgroup.class_group_for_level(N).certified]
+    levels = [*generic, 5040, 9240, 27720, 30030, 55440, 60060, 720720]
+    seen = []
+    monkeypatch.setattr(
+        classgroup, "hermite_row_basis", lambda rows, modulus: seen.append((rows, modulus)) or []
+    )
+    for N in levels:
+        classgroup._unit_divisor_rows(N)
+    folds = count_folds(monkeypatch)
+    switched = []
+    for N, (rows, m) in zip(levels, seen, strict=True):
+        assert m == classgroup._lattice_modulus(factorize(N))
+        before = len(folds)
+        assert hermite_row_basis(rows, m) == hermite_row_basis(rows), N
+        if len(folds) > before:
+            switched.append(N)
+    # the exact form grows past m^2 only on 9240 (2^3 3 5 7 11) and 30030 (2 3 5 7 11 13)
+    assert switched == [9240, 30030], switched
+
+
 def test_congruence_kernel_matches_the_bordered_smith_reference():
     rng = random.Random(1987)
     for _ in range(200):
