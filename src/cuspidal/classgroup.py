@@ -176,7 +176,15 @@ def _lattice_modulus(factors: dict) -> int:
     1. Let T(p, a) be tridiagonal with first row (p, -1, 0, ...), last row
        (..., 0, -1, p) and, for 0 < j < a, row j equal to p^(min(j, a-j) - 1)
        times (..., -p, p^2 + 1, -p, ...); for a = 1, T = [[p, -1], [-1, p]].
-       Then 24M(p^a) T(p, a) = (p^2 - 1) p^(a-1) I.
+       Then 24M(p^a) T(p, a) = (p^2 - 1) p^(a-1) I. Indeed, with rows
+       delta = p^i and columns d = p^j, 24M(p^a) has entries
+       p^(a - |i-j| - min(j, a-j)), so 24M(p^a) = p^a K D with K = (p^-|i-j|),
+       a Kac-Murdock-Szego matrix, and D = diag(p^-min(j, a-j)). K S =
+       (p^2 - 1) I for S tridiagonal with diagonal (p^2, p^2 + 1, ...,
+       p^2 + 1, p^2) and -p beside it: in an inner column j, row i < j gets
+       p^(i-j) (-p^2 + (p^2 + 1) - 1) = 0, row j gets -1 + (p^2 + 1) - 1, and
+       the rows below j and the two end columns go alike. So
+       (p^2 - 1) p^(a-1) (24M(p^a))^-1 = D^-1 S / p, which is T.
     2. order_coefficient is multiplicative over the p^a || N, so 24M(N) is
        the Kronecker product of the 24M(p^a), and T, the Kronecker product
        of the T(p, a), is an integral matrix with 24M(N) T = T 24M(N) = m I.
@@ -213,17 +221,22 @@ def eta_unit_divisor_lattice(N: int) -> list:
     return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in _unit_divisor_rows(N)]
 
 
-# Largest number of cusp levels d(N) that the generic path takes on: its
-# worst case, N = 9699690 with 256 levels, takes about 2.5 s of CPU.
+# The budget of the generic path, in the two sizes its cost grows with: its
+# eliminations work on d(N) - 1 columns with entries below m(N)^2
+# (`_lattice_modulus`), and its order coefficients lie below N < m(N). The
+# slowest allowed levels measured, with 8 primes, 256 cusp levels and m(N)
+# near 2^128, take about 10 s of CPU; 9699690 takes about 4 s.
 MAX_GENERIC_LEVELS = 256
+MAX_GENERIC_MODULUS_BITS = 128
 
 
 def class_group_for_level(N: int) -> ClassGroupResult:
     """C(N) for arbitrary N, dispatching to a certified computation when the
     eta-unit lattice is known to fill out all principal cuspidal divisors and
     flagging the result as an upper bound otherwise. A level outside the
-    certified families with more than MAX_GENERIC_LEVELS cusp levels raises
-    ScopeError before any lattice work."""
+    certified families with more than MAX_GENERIC_LEVELS cusp levels, or
+    with m(N) of more than MAX_GENERIC_MODULUS_BITS bits, raises ScopeError
+    before any lattice work."""
     if N < 1:
         raise InputError("level N must be positive")
     if N == 1:
@@ -240,13 +253,15 @@ def class_group_for_level(N: int) -> ClassGroupResult:
         if p % 12 == 1 and q % 12 == 1:
             return class_group_pq(p, q)
     levels = prod(a + 1 for a in factors.values())
-    if levels > MAX_GENERIC_LEVELS:
+    modulus = _lattice_modulus(factors)
+    if levels > MAX_GENERIC_LEVELS or modulus.bit_length() > MAX_GENERIC_MODULUS_BITS:
         raise ScopeError(
-            f"N = {N} has {levels} cusp levels; the generic path takes at most {MAX_GENERIC_LEVELS}"
+            f"N = {N} has {levels} cusp levels and m(N) of {modulus.bit_length()} bits; the generic"
+            f" path takes at most {MAX_GENERIC_LEVELS} levels and {MAX_GENERIC_MODULUS_BITS} bits"
         )
     deltas = list(cusp_degrees(N))
     rows = _unit_divisor_rows(N)
-    group = cokernel([row[:-1] for row in rows], len(deltas) - 1)
+    group = cokernel([row[:-1] for row in rows], len(deltas) - 1, modulus)
     # the rows are a checked Hermite basis, so the divisors need no re-validation
     generators = tuple(
         CuspDivisor(N, tuple((d, c) for d, c in zip(deltas, row) if c)) for row in rows

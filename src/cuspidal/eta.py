@@ -88,6 +88,12 @@ class LigozatReport:
     sum_delta_mod_24: bool  # sum r(delta)*delta == 0 mod 24
     sum_complement_mod_24: bool  # sum r(delta)*(N/delta) == 0 mod 24
 
+    @classmethod
+    def of(cls, residues) -> "LigozatReport":
+        """The report for the four residues of `_ligozat`."""
+        weight, square, sum_delta, sum_complement = residues
+        return cls(weight == 0, square == 0, sum_delta == 0, sum_complement == 0)
+
     @property
     def ok(self) -> bool:
         return (
@@ -104,22 +110,34 @@ def check_modular_function(h: EtaQuotient) -> LigozatReport:
     Quotients passing the test are defined over the rationals; the library
     relies on that fact but has no independent rationality check.
     """
-    return _ligozat(h.N, h.exponents, divisor_valuations(h.N))
+    odd = _odd_valuations(divisor_valuations(h.N), (d for d, _ in h.exponents))
+    return LigozatReport.of(_ligozat(h.N, h.exponents, odd))
 
 
-def _ligozat(N: int, row, valuations) -> LigozatReport:
+def _odd_valuations(valuations, deltas) -> dict:
+    """{delta: bit mask of the primes p, in the order of `valuations` =
+    divisor_valuations(N), with v_p(delta) odd}, for the given deltas."""
+    odd = dict.fromkeys(deltas, 0)
+    for i, vals in enumerate(valuations.values()):
+        for d in odd:
+            if vals[d] & 1:
+                odd[d] |= 1 << i
+    return odd
+
+
+def _ligozat(N: int, row, odd) -> tuple:
     """Ligozat's four conditions for the sparse exponent row ((delta, r), ...)
-    on X0(N), with `valuations` = divisor_valuations(N)."""
-    weight = sum(r for _, r in row)
-    sum_delta = sum(r * d for d, r in row)
-    sum_comp = sum(r * (N // d) for d, r in row)
-    square = all(sum(r * vals[d] for d, r in row) % 2 == 0 for vals in valuations.values())
-    return LigozatReport(
-        weight_zero=(weight == 0),
-        square_product=square,
-        sum_delta_mod_24=(sum_delta % 24 == 0),
-        sum_complement_mod_24=(sum_comp % 24 == 0),
-    )
+    on X0(N), as residues that all vanish exactly when they hold: sum r, the
+    mask of the primes of odd valuation in prod delta^r (with `odd` from
+    _odd_valuations), sum r delta mod 24 and sum r N/delta mod 24."""
+    weight = sum_delta = sum_comp = square = 0
+    for d, r in row:
+        weight += r
+        sum_delta += r * d
+        sum_comp += r * (N // d)
+        if r & 1:
+            square ^= odd[d]
+    return weight, square, sum_delta % 24, sum_comp % 24
 
 
 def order_coefficient(N: int, d: int, delta: int) -> int:
@@ -157,29 +175,16 @@ def _divisor_rows(N: int, rows, valuations) -> list:
     divisors of the eta quotients on X0(N) with the given sparse exponent
     rows (`valuations` = divisor_valuations(N)). Failing Ligozat's test raises
     NotModularError; a non-integral order or nonzero degree, AssertionError.
-    The four conditions are checked inline, and the EtaQuotient and its
-    LigozatReport are built only for the message of an error."""
+    The EtaQuotient is built only for the message of an error."""
     degrees = cusp_degrees(N)
     phis = list(degrees.values())
-    # the primes of odd valuation in delta, as a bit mask: prod delta^r is a
-    # square when the masks of the deltas with odd r cancel
-    odd = dict.fromkeys(degrees, 0)
-    for i, vals in enumerate(valuations.values()):
-        for d, v in vals.items():
-            if v & 1:
-                odd[d] |= 1 << i
+    odd = _odd_valuations(valuations, degrees)
     out = []
     for row, orders in zip(rows, _orders24(N, rows)):
-        weight = sum_delta = sum_comp = square = 0
-        for d, r in row:
-            weight += r
-            sum_delta += r * d
-            sum_comp += r * (N // d)
-            if r & 1:
-                square ^= odd[d]
-        if weight or square or sum_delta % 24 or sum_comp % 24:
+        residues = _ligozat(N, row, odd)
+        if any(residues):
             h = EtaQuotient(N, tuple(row))
-            raise NotModularError(f"{h} is not a modular function on X0({N})", _ligozat(N, row, valuations))
+            raise NotModularError(f"{h} is not a modular function on X0({N})", LigozatReport.of(residues))
         coeffs = [total // 24 for total in orders]
         # each total - 24 * (total // 24) lies in [0, 24), so they all vanish
         # exactly when their sum does

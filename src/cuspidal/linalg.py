@@ -138,6 +138,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix(m), IntMatrix(p), IntMatrix(q))
 
 
+def _reduce_rows(rows, t, modulus):
+    """Reduce mod `modulus`, from column t on, each of the rows (zero before
+    column t) that holds an entry outside [-modulus/2, modulus/2]."""
+    half = modulus // 2
+    for row in rows:
+        if max(row) > half or min(row) < -half:
+            _centre(row, t, modulus)
+
+
 def _egcd(a: int, b: int) -> tuple:
     """(g, u, v) with a*u + b*v = g = gcd(a, b) >= 0."""
     u0, v0, u1, v1 = 1, 0, 0, 1
@@ -147,10 +156,17 @@ def _egcd(a: int, b: int) -> tuple:
     return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
 
 
-def _smith_reduce(m, p=None, q=()):
+def _smith_reduce(m, p=None, q=(), modulus=None):
     """Reduce the rows m (lists, changed in place) to Smith form, applying
     each row operation to p and each column operation to q too, when they
     are given (Kannan-Bachem; Cohen, GTM 138, section 2.4).
+
+    `modulus`, for a call without p and q, is an m with m*Z^k inside the row
+    span, and the rows are then kept reduced mod m: each pivot starts by
+    reducing the rows that the pivot before it changed (a row that a pivot
+    changes is nonzero in its column in one of its rounds, so it is in one
+    of its `rows`), and `_gcd_steps` reduces as it goes. The diagonal is then
+    right only up to its gcd with m (see `cokernel`).
 
     Each round of pivot t first moves the entry of least absolute value of
     its row and column (row first) to (t, t). The first round reduces the
@@ -164,7 +180,11 @@ def _smith_reduce(m, p=None, q=()):
     per pair of diagonal entries then gives the chain d1 | d2 | ...."""
     nr, nc = len(m), len(m[0]) if m else 0
     p = [[] for _ in m] if p is None else p
+    touched = set(range(nr))
     for t in range(min(nr, nc)):
+        if modulus and touched:
+            _reduce_rows([m[k] for k in touched if k >= t], t, modulus)
+            touched.clear()
         found = next(((i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j]), None)
         if found is None:
             break
@@ -179,6 +199,7 @@ def _smith_reduce(m, p=None, q=()):
             cols = [k for k in range(t + 1, nc) if m[t][k]]
             if not rows and not cols:
                 break
+            touched.update(rows)
             x = min([m[t][t], *(m[t][k] for k in cols), *(m[k][t] for k in rows)], key=abs)
             if x != m[t][t]:
                 j = next((k for k in cols if m[t][k] == x), t)
@@ -186,7 +207,7 @@ def _smith_reduce(m, p=None, q=()):
                 continue
             i = j = t
             if rounded:
-                _gcd_steps(m, p, q, t, rows)
+                _gcd_steps(m, p, q, t, rows, modulus)
                 continue
             rounded = True
             pivot_row = m[t]
@@ -227,23 +248,42 @@ def _unimodular(a: int, b: int) -> tuple:
     return u, v, -b // g, a // g
 
 
-def _gcd_steps(m, p, q, t, rows):
+def _row_step(a, b, step, cols):
+    """Apply the step (u, v, s, w) of _unimodular to the rows a and b over
+    the columns `cols`: a, b = u*a + v*b, s*a + w*b. When v is 0, u = w = 1,
+    so a stays as it is and only b changes."""
+    u, v, s, w = step
+    if v:
+        for c in cols:
+            x, y = a[c], b[c]
+            a[c], b[c] = u * x + v * y, s * x + w * y
+    else:
+        for c in cols:
+            b[c] += s * a[c]
+
+
+def _gcd_steps(m, p, q, t, rows, modulus=None):
     """One extended-gcd round of pivot t: a unimodular 2x2 step of row t
     with each row in `rows`, over their supports, then of column t with each
     column nonzero in row t, over the rows nonzero in either column. A step
     whose entry the pivot divides leaves row (column) t as it is, so it runs
-    over the support of row t (the rows nonzero in column t) alone."""
+    over the support of row t (the rows nonzero in column t) alone. With a
+    `modulus` (see `_smith_reduce`), each step reduces what it changed mod
+    m: row t gathers a factor of the size of every row it meets, so without
+    this its entries grow with the number of rows."""
     pivot_row, width = m[t], len(m[t])
     support = [c for c in range(t, width) if pivot_row[c]]
     for k in rows:
         row = m[k]
-        u, v, s, w = _unimodular(pivot_row[t], row[t])
-        cols = [c for c in range(t, width) if pivot_row[c] or row[c]] if v else support
-        for c in cols:
-            x, y = pivot_row[c], row[c]
-            pivot_row[c], row[c] = u * x + v * y, s * x + w * y
+        u, v, s, w = step = _unimodular(pivot_row[t], row[t])
         if v:
+            cols = [c for c in range(t, width) if pivot_row[c] or row[c]]
+            _row_step(pivot_row, row, step, cols)
             support = [c for c in cols if pivot_row[c]]
+        else:
+            _row_step(pivot_row, row, step, support)
+        if modulus:
+            _reduce_rows((pivot_row,), t, modulus)
         pt, pk = p[t], p[k]
         p[t] = [u * x + v * y for x, y in zip(pt, pk)]
         p[k] = [s * x + w * y for x, y in zip(pt, pk)]
@@ -256,6 +296,11 @@ def _gcd_steps(m, p, q, t, rows):
         for row in live:
             x, y = row[t], row[c]
             row[t], row[c] = u * x + v * y, s * x + w * y
+        if modulus:
+            for row in live:
+                if row is not pivot_row:
+                    row[t] %= modulus
+                    row[c] %= modulus
         if v:
             live = [row for row in live if row[t]]
 
@@ -514,18 +559,27 @@ def express_in_basis(basis, vector):
     return solve_exact(cols, vector)
 
 
-def cokernel(rows, k: int) -> AbelianGroup:
+def cokernel(rows, k: int, modulus=None) -> AbelianGroup:
     """Structure of Z^k modulo the span of the given integer rows of length k,
     read off the diagonal of a Smith normal form built without transforms.
 
     Raises ValueError when the rows span a lattice of rank below k (the
     quotient is then infinite).
+
+    `modulus`, when given, must be an m with m*Z^k inside the span, proven
+    by the caller. Adding a multiple of m*e_j to a row, or applying a
+    unimodular column operation, keeps the span plus m*Z^k the same, so the
+    Smith form runs on rows reduced mod m, whose entries stay bounded (Cohen,
+    GTM 138, Alg. 2.4.14). Its diagonal d_1 | ... | d_k, zeros last, gives Z^k
+    modulo (d_i) + m*Z^k, that is the sum of the Z/gcd(d_i, m).
     """
     rows = [list(v) for v in rows]
     if any(len(v) != k for v in rows):
         raise ValueError(f"rows must have length {k}")
-    _smith_reduce(rows)
-    diag = [rows[i][i] for i in range(min(len(rows), k))]
+    _smith_reduce(rows, modulus=modulus)
+    diag = [rows[i][i] if i < len(rows) else 0 for i in range(k)]
+    if modulus:
+        diag = [gcd(d, modulus) for d in diag]
     if sum(1 for d in diag if d != 0) < k:
         raise ValueError("sub lattice has smaller rank; quotient is infinite")
     return AbelianGroup(tuple(d for d in diag if d > 1))
@@ -585,12 +639,12 @@ def hermite_row_basis(vectors, modulus=None):
                 for j, y in support:
                     row[j] -= quot * y
                 if m:
-                    _centre(row, range(c + 1, width), m)
+                    _centre(row, c + 1, m)
         basis.append(pivot)
         if bound and not m and max(max(pivot), -min(pivot)) > bound:
             m = modulus
             for row in (*basis, *rows):
-                _centre(row, range(c + 1, width), m)
+                _centre(row, c + 1, m)
             rows = [row for row in rows if any(row)]
     return basis
 
@@ -603,31 +657,22 @@ def _fold_column(nz, c, m, width, rest):
     c are centred mod m; the rows left nonzero are appended to `rest`."""
     pivot = [0] * width
     pivot[c] = m
-    later = range(c + 1, width)
+    cols = range(c, width)
     for row in nz:
-        u, v, s, w = _unimodular(pivot[c], row[c])
-        if v:
-            for j in later:
-                x, y = pivot[j], row[j]
-                pivot[j], row[j] = u * x + v * y, s * x + w * y
-            pivot[c], row[c] = u * pivot[c] + v * row[c], 0
-            _centre(pivot, later, m)
-        else:
-            for j in later:
-                row[j] += s * pivot[j]
-            row[c] = 0
-        _centre(row, later, m)
+        step = _unimodular(pivot[c], row[c])
+        _row_step(pivot, row, step, cols)
+        if step[1]:
+            _centre(pivot, c + 1, m)
+        _centre(row, c + 1, m)
         if any(row):
             rest.append(row)
     return pivot
 
 
-def _centre(row, columns, m):
-    """Replace row[j], for j in `columns`, by its residue mod m in (-m/2, m/2]."""
+def _centre(row, start, m):
+    """Replace row[j], for j >= start, by its residue mod m in [-m/2, m/2)."""
     half = m // 2
-    for j in columns:
-        y = row[j] % m
-        row[j] = y - m if y > half else y
+    row[start:] = [(y + half) % m - half for y in row[start:]]
 
 
 def congruence_kernel(rows, moduli):

@@ -5,8 +5,10 @@ import pytest
 
 from cuspidal.classgroup import (
     MAX_GENERIC_LEVELS,
+    MAX_GENERIC_MODULUS_BITS,
     ClassGroupResult,
     _lattice_modulus,
+    _unit_divisor_rows,
     class_group,
     class_group_for_level,
     class_group_pq,
@@ -370,7 +372,9 @@ def test_class_group_order_from_the_prime_power_order_matrices():
     # det(A)^dim B det(B)^dim A, and the divisor of an eta quotient has
     # degree (weight) psi(N) / 12. Nothing here takes the lattice path.
     dets = {}
-    for N in list(range(1, 1001)) + [5040, 9240, 27720, 30030, 55440]:
+    # the last three, with 112 or 128 cusp levels, ran for minutes before the
+    # Smith form took the lattice modulus
+    for N in [*range(1, 1001), 5040, 9240, 27720, 30030, 55440, 2**27 * 15, 2**31 * 15, 2**15 * 135]:
         primes = factorize(N)
         for p, a in primes.items():
             if (p, a) not in dets:
@@ -406,12 +410,26 @@ def test_order_matrix_times_its_tridiagonal_inverse_is_scalar():
             assert _lattice_modulus({p: a}) == scalar
 
 
+def exact_class_group(N):
+    """Z^(k-1) modulo the coordinates of the eta-unit divisors on X0(N), from a
+    Smith form of the Hermite basis that takes no modulus."""
+    rows = _unit_divisor_rows(N)
+    return cokernel([row[:-1] for row in rows], len(rows[0]) - 1)
+
+
 def test_exponent_of_the_class_group_divides_the_lattice_modulus():
-    # the exponent of Z^(k-1)/L divides m exactly when m Z^(k-1) lies in L
+    # the exponent of Z^(k-1)/L divides m exactly when m Z^(k-1) lies in L;
+    # class_group_for_level reduces mod m, so the group is taken without it
     for N in [*range(2, 2001), 5040, 9240, 27720, 30030, 55440, 60060, 720720]:
-        factors = tuple(class_group_for_level(N).group.invariant_factors)
+        factors = exact_class_group(N).invariant_factors
         assert not factors or _lattice_modulus(factorize(N)) % factors[-1] == 0, N
     assert _lattice_modulus(factorize(9240)) == 12 * 8 * 24 * 48 * 120
+
+
+def test_class_group_modulo_the_lattice_modulus_matches_the_exact_smith_form():
+    generic = [N for N in range(2, 1001) if not class_group_for_level(N).certified]
+    for N in [*generic, 5040, 9240, 27720, 30030, 55440, 60060, 720720]:
+        assert class_group_for_level(N).group == exact_class_group(N), N
 
 
 def test_class_group_for_level_refuses_too_many_cusp_levels():
@@ -419,7 +437,15 @@ def test_class_group_for_level_refuses_too_many_cusp_levels():
     for N in (735134400, 2**256, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
         with pytest.raises(ScopeError, match="cusp levels"):
             class_group_for_level(N)
+    # m(2^200) = 3 2^199 and m(2^127 3) = 3 2^126 8 have more than 128 bits
+    for N in (2**200, 2**127 * 3):
+        assert len(divisors_of(N)) <= MAX_GENERIC_LEVELS
+        with pytest.raises(ScopeError, match="bits"):
+            class_group_for_level(N)
     assert len(divisors_of(9699690)) == MAX_GENERIC_LEVELS
+    assert _lattice_modulus(factorize(9699690)).bit_length() <= MAX_GENERIC_MODULUS_BITS
+    assert _lattice_modulus(factorize(2**124 * 3)).bit_length() == MAX_GENERIC_MODULUS_BITS
+    assert not class_group_for_level(2**124 * 3).certified
 
 
 def test_class_group_for_level_known_value():

@@ -135,6 +135,9 @@ def test_class_group_refuses_a_level_with_too_many_cusps_at_once(capsys):
     code, out, err = run_cli(capsys, "class-group", "--N", "735134400", "--json")
     assert code == 2 and out == "" and "1344 cusp levels" in err
     assert time.process_time() - start < 1
+    # 2^200 has 201 cusp levels, but m(2^200) = 3 2^199 has 201 bits
+    code, out, err = run_cli(capsys, "class-group", "--N", str(2**200), "--json")
+    assert code == 2 and out == "" and "201 bits" in err
 
 
 def test_malformed_expression_exit_code(capsys):
@@ -159,7 +162,7 @@ def test_input_errors_exit_code(capsys):
 
 
 def test_internal_value_error_exit_code(capsys, monkeypatch):
-    def failing_cokernel(rows, k):
+    def failing_cokernel(rows, k, modulus=None):
         raise ValueError("sub lattice has smaller rank; quotient is infinite")
 
     monkeypatch.setattr("cuspidal.classgroup.cokernel", failing_cokernel)

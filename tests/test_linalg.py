@@ -712,18 +712,20 @@ def test_cokernel_matches_the_reference_on_class_group_coordinates(monkeypatch):
 
     seen = []
 
-    def recording(rows, k):
-        seen.append(([list(r) for r in rows], k))
-        return cokernel(rows, k)
+    def recording(rows, k, modulus=None):
+        seen.append(([list(r) for r in rows], k, modulus))
+        return cokernel(rows, k, modulus)
 
     monkeypatch.setattr(classgroup, "cokernel", recording)
     for N in [*range(1, 301), 5040]:
         classgroup.class_group_for_level(N)
     assert len(seen) == 300  # every level but N = 1
-    for rows, k in seen:
+    for rows, k, modulus in seen:
         diagonal = reference_smith_normal_form(IntMatrix(rows))[0].diagonal()
         assert len(diagonal) == k and all(diagonal)
-        assert cokernel(rows, k) == AbelianGroup(tuple(x for x in diagonal if x > 1)), rows
+        expected = AbelianGroup(tuple(x for x in diagonal if x > 1))
+        assert cokernel(rows, k) == expected, rows
+        assert cokernel(rows, k, modulus) == expected, (rows, modulus)
 
 
 def test_hermite_matches_the_unbounded_reference():
@@ -826,3 +828,41 @@ def test_congruence_kernel_matches_the_reference_on_its_callers_inputs(monkeypat
         assert congruence_kernel(rows, moduli) == reference_congruence_kernel(rows, moduli)
         for x in congruence_kernel(rows, moduli):
             assert all(sum(a * b for a, b in zip(r, x)) % mod == 0 for r, mod in zip(rows, moduli))
+
+
+def count_reductions(monkeypatch):
+    """A list that grows by one for each row that a Smith form with a
+    modulus reduces mod m."""
+    from cuspidal import linalg
+
+    reduced, centre = [], linalg._centre
+    monkeypatch.setattr(linalg, "_centre", lambda row, start, m: reduced.append(m) or centre(row, start, m))
+    return reduced
+
+
+def test_cokernel_modulo_a_lattice_exponent_matches_the_exact_one(monkeypatch):
+    reduced = count_reductions(monkeypatch)
+    rng = random.Random(2014)
+    reducing = 0
+    for case in range(400):
+        k = rng.randint(1, 7)
+        rows = random_lattice_rows(rng, rng.randint(1, 8), k, rng.choice((9, 500, 10**6)))
+        if case % 2:
+            # m Z^k in the span through its own rows
+            m = rng.choice((2, 6, 24, 35, rng.randint(2, 2000)))
+            rows += [[m if i == j else 0 for j in range(k)] for i in range(k)]
+            rng.shuffle(rows)
+        else:
+            # a multiple of the exponent of a finite quotient
+            try:
+                exact = cokernel(rows, k)
+            except ValueError:
+                continue
+            m = max(exact.invariant_factors, default=1) * rng.choice((1, 1, 2, 3, 10**6))
+        before = len(reduced)
+        assert cokernel(rows, k, m) == cokernel(rows, k), (rows, m)
+        reducing += len(reduced) > before
+    assert 40 < reducing < 360, reducing
+    # a lattice that is m Z^k itself reduces to zero rows
+    assert cokernel([[6, 0], [0, 6]], 2, 6) == AbelianGroup((6, 6))
+    assert cokernel([], 2, 6) == AbelianGroup((6, 6))
