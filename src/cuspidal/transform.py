@@ -15,7 +15,7 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, lcm, log, log1p, pi, sqrt
+from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, sqrt
 
 import mpmath as mp
 
@@ -55,10 +55,12 @@ class LeadingCoeff:
         return dict(self.half_exponents)
 
     def as_complex(self) -> complex:
-        value = mp.expjpi(mp.mpf(2 * self.phase.value.numerator) / self.phase.value.denominator)
+        # prod p^(v/2) = sqrt(num / den) with integers num, den
+        num = den = 1
         for p, v in self.half_exponents:
-            value *= mp.mpf(p) ** (mp.mpf(v) / 2)
-        return complex(value)
+            num, den = (num * p**v, den) if v > 0 else (num, den * p**-v)
+        phase = self.phase.value
+        return complex(mp.expjpi(mp.mpf(2 * phase.numerator) / phase.denominator) * mp.sqrt(mp.fdiv(num, den)))
 
     def __str__(self):
         parts = []
@@ -92,11 +94,6 @@ class SigmaMatrix:
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-    def act(self, tau):
-        """Moebius action on a point of the upper half-plane (mpmath)."""
-        tau = mp.mpc(tau)
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
 
 
 def jacobi_symbol(a: int, b: int) -> int:
@@ -295,20 +292,63 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
 
 
 def _to_fundamental_domain(z):
-    """(factor, w) with eta(z) = factor * eta(w) and w in the fundamental
-    domain (|Re w| <= 1/2, |w| >= 1), by integer shifts and inversions; the
-    shifts s are summed and their phase e(s/24) applied once."""
-    factor = mp.mpc(1)
-    shifts = 0
+    """(w, x, (A, B, E)) with eta(z) = e^(i pi x) (A + iB) 2^E prod_j
+    (1 - e(j w)): w = gamma(z) for a word gamma = (a b; c d) in SL2(Z), in
+    the closed fundamental domain, x = (w + phase)/12 and (A + iB) 2^E the
+    principal 1/sqrt(c z + d).
+
+    z = (X + iY)/S exactly; D = S^2 |c z + d|^2, N = S^2 |a z + b|^2 and
+    R = S^2 Re((a z + b) conj(c z + d)) are integers and w = (R + iYS)/D, so
+    every step is exact and w is rounded once, away from zero. Only
+    eta(z + 1) = e(1/24) eta(z) and eta(-1/z) = sqrt(z/i) eta(z) enter:
+    eta(z) = e(s/24) prod_j sqrt(z_j/i) eta(w) for the shifts s and the k
+    points z_j after each inversion. z_j = -(c_(j-1) z + d_(j-1))/(c_j z + d_j),
+    so the z_j/i telescope to i^k/(c z + d) and the roots to
+    +-e(k/8)/sqrt(c z + d); each arg(z_j/i) is in (-pi/2, pi/2), so the sign
+    is the one nearest half their sum. x gets log2(Im w) + 8 more bits,
+    which e^(i pi x) loses to the rounding of Im x."""
+    (xm, xe), (ym, ye) = z.real.man_exp, z.imag.man_exp
+    e = min(xe, ye, 0)
+    X, Y, S = (-xm if z.real < 0 else xm) << (xe - e), ym << (ye - e), 1 << -e
+    YS, N, R, D = Y * S, X * X + Y * Y, X * S, S * S
+    a, b, c, d = 1, 0, 0, 1
+    shifts = inversions = angle = 0
     while True:
-        shift = int(mp.floor(z.real + 0.5))
-        z -= shift
-        shifts += shift
-        if z.real**2 + z.imag**2 >= 1:
-            return factor * mp.expjpi(mp.mpf(shifts % 24) / 12), z
-        z = -1 / z
-        # sqrt(z / i), with z / i = Im z - i Re z
-        factor *= mp.sqrt(mp.mpc(z.imag, -z.real))
+        t = (2 * R + D) // (2 * D)
+        a, b, N, R, shifts = a - t * c, b - t * d, N - 2 * t * R + t * t * D, R - t * D, shifts + t
+        if N >= D:
+            break
+        # the next point -1/gamma(z) is z_j, with z_j/i = (Y S + iR)/N
+        angle, inversions = angle + _atan2(R, YS), inversions + 1
+        a, b, c, d, N, R, D = -c, -d, a, b, D, -R, N
+    u, v = c * X + d * S, c * Y  # c z + d = (u + iv) 2^e
+    offset = angle / 2 - pi * inversions / 4 + _atan2(v, u) / 2
+    turns = round(offset / pi)
+    assert abs(offset - turns * pi) < pi / 4, "square-root sign is not clear-cut"
+    phase = (shifts + 3 * inversions + 12 * turns) % 24
+    w = mp.mpc(mp.fdiv(R, D, rounding="u"), mp.fdiv(YS, D, rounding="u"))
+    with mp.workprec(mp.mp.prec + max(YS.bit_length() - D.bit_length(), 0) + 8):
+        x = mp.mpc(mp.fdiv(R + phase * D, 12 * D), mp.fdiv(YS, 12 * D))
+    return w, x, _inverse_sqrt(u, v, e, mp.mp.prec + 2 * _ETA_GUARD_BITS)
+
+
+def _atan2(y: int, x: int) -> float:
+    """atan2(y, x) of integers of any size."""
+    return atan2(y / (m := max(abs(x), abs(y))), x / m)
+
+
+def _inverse_sqrt(u: int, v: int, e: int, bits: int) -> tuple:
+    """(A, B, E), (A + iB) 2^E within 2^-bits of the principal
+    1/sqrt((u + iv) 2^e): with m = |U + iV| > 4^(bits + 4) for U + iV a scaled
+    u + iv, r = sqrt((m + U)/2) and s = +-sqrt((m - U)/2) give the root to
+    two units, and 1/(r + is) = (r - is)/(r^2 + s^2)."""
+    shift = max(2 * bits + 9 - max(abs(u), abs(v)).bit_length(), 0) // 2 * 2 + (e & 1)
+    U, V, e = u << shift, v << shift, e - shift
+    m = isqrt(U * U + V * V)
+    r, s = isqrt((m + U) >> 1), isqrt((m - U) >> 1) * (-1 if V < 0 else 1)
+    n = r * r + s * s
+    T = n.bit_length() + 4
+    return (r << T) // n, (-s << T) // n, -T - e // 2
 
 
 # eta_numeric's product stops once its tail bound is below 2^-(prec + this)
@@ -333,47 +373,84 @@ def _eta_factor_count(y, terms):
     return min(terms, k)
 
 
-def _eta_product(q, count):
-    """prod_(j=1..count) (1 - q^j) as integers (re, im, bits), the product
-    being (re + i im) / 2^bits: q^j and the partial product are fixed-point
-    Gaussian integers, each product truncated back to bits = prec + 32."""
-    bits = mp.mp.prec + 2 * _ETA_GUARD_BITS
+def _fixed_mul(x, y, bits):
+    """x * y for Gaussian integers (re, im) with `bits` fractional bits."""
+    return (x[0] * y[0] - x[1] * y[1]) >> bits, (x[0] * y[1] + x[1] * y[0]) >> bits
+
+
+def _eta_product(qre, qim, count, bits):
+    """prod_(j=1..count) (1 - q^j), q = (qre + i qim) / 2^bits, as integers
+    (re, im), the product being (re + i im) / 2^bits: q^j and the partial
+    product are fixed-point Gaussian integers, each truncated to bits bits."""
     one = 1 << bits
-    qre, qim = int(mp.ldexp(q.real, bits)), int(mp.ldexp(q.imag, bits))
     pre, pim, re, im = one, 0, one, 0
     for _ in range(count):
         pre, pim = (pre * qre - pim * qim) >> bits, (pre * qim + pim * qre) >> bits
         re, im = (re * (one - pre) + im * pim) >> bits, (im * (one - pre) - re * pim) >> bits
-    return re, im, bits
+    return re, im
 
 
 def eta_numeric(z, terms: int = 200):
     """Dedekind eta at a point of the upper half-plane (mpmath complex).
 
-    The argument is moved into the fundamental domain with integer shifts and
-    inversions, so |q| <= e^(-pi sqrt(3)) and any height works. The q-product
-    then stops as soon as the remaining factors cannot change the result at
-    the working precision (at most about 24 factors at 50 digits); `terms`
-    caps the number of factors.
+    The argument is moved into the fundamental domain by one SL2(Z) word (see
+    _to_fundamental_domain), so |q| <= e^(-pi sqrt(3)) and any height works.
+    The q-product then stops as soon as the remaining factors cannot change
+    the result at the working precision (at most about 24 factors at 50
+    digits); `terms` caps the number of factors.
 
-    The product runs in integers with prec + 32 fractional bits and becomes
-    an mpc once. Converting q and the at most 2 * count truncations each lose
-    under one unit of 2^-(prec+32) per part, and count < (prec + 16) / 7.8 + 2,
-    so below 10^5 bits the rounding stays under the 2^-(prec+16) per factor
-    that the oracle's error estimate carries.
+    One exponential gives e^(i pi x); its 24th power is q = e(w). The
+    product runs in integers with prec + 32 fractional bits, times the
+    integer 1/sqrt(c z + d), and becomes an mpc once. Its at most 2 * count
+    truncations each lose under one unit of 2^-(prec+32) per part, and
+    count < (prec + 16) / 7.8 + 2, so below 10^5 bits they stay under the
+    2^-(prec+16) per factor that the oracle's error estimate carries. q has
+    24 times the rounding of e^(i pi x), under 0.11 units of 2^-prec in the
+    product as |q| < 0.0044.
     """
     z = mp.mpc(z)
     if z.imag <= 0:
         raise ValueError("eta is defined on the upper half-plane")
-    factor, z = _to_fundamental_domain(z)
-    re, im, bits = _eta_product(mp.expjpi(2 * z), _eta_factor_count(z.imag, terms))
-    return factor * mp.expjpi(z / 12) * mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
+    w, x, (A, B, E) = _to_fundamental_domain(z)
+    bits, power = mp.mp.prec + 2 * _ETA_GUARD_BITS, mp.expjpi(x)
+    p = int(mp.ldexp(power.real, bits)), int(mp.ldexp(power.imag, bits))
+    q = _fixed_mul(p, _fixed_mul(p, p, bits), bits)
+    for _ in range(3):
+        q = _fixed_mul(q, q, bits)
+    re, im = _fixed_mul(_eta_product(*q, _eta_factor_count(w.imag, terms), bits), (A, B), 0)
+    return power * mp.mpc(mp.ldexp(mp.mpf(re), E - bits), mp.ldexp(mp.mpf(im), E - bits))
 
 
 @dataclass(frozen=True)
 class NumericLeadingCoeff:
     value: complex
     error_estimate: float
+
+
+def _oracle_prec(loss: int) -> int:
+    """Working precision of a point that loses `loss` bits: 50 digits, or
+    enough to keep the loss 16 bits below the value's 2^-52 rounding."""
+    return max(mp.libmp.dps_to_prec(50), loss + 68)
+
+
+def _eta_at(delta: int, sigma: SigmaMatrix, height, terms: int) -> tuple:
+    """(eta(z), loss) at z = delta * sigma(i*height), within 2^(loss - prec)
+    of its exact value, relatively, at prec = _oracle_prec(loss).
+
+    Proof. z = delta ((a c H^2 + b d) + i H det)/(c^2 H^2 + d^2) is rounded
+    once per coordinate, |dz| <= 2^-prec |z|. With w = gamma(z) reduced,
+    d log eta/dz = pi i E2(w)/(12 (c z + d)^2) - c/(2 (c z + d)), |E2(w)| <
+    1.11, |c z + d|^2 = y/Im w for y = Im z, |c z + d| >= |c| y and
+    Im w <= max(y, 1/y); so dz moves log eta under 2^(1-prec) |z| (1/2 + 0.3
+    max(y, 1/y))/y. With eta_numeric's own 16 units of 2^-prec, both stay
+    under 2^-prec 16 |z| (1 + max(y, 1/y))/y <= 2^(loss - prec)."""
+    a, b, c, d = delta * sigma.a, delta * sigma.b, sigma.c, sigma.d
+    hh = height * height
+    re, im, den = a * c * hh + b * d, height * (a * d - b * c), c * c * hh + d * d
+    bits = im.bit_length()
+    loss = max(abs(re), im).bit_length() - bits + abs(bits - den.bit_length()) + 8
+    with mp.workprec(_oracle_prec(loss)):
+        return eta_numeric(mp.mpc(mp.fdiv(re, den), mp.fdiv(im, den)), terms), loss
 
 
 def numeric_leading_coefficient(
@@ -383,38 +460,46 @@ def numeric_leading_coefficient(
     `expansion.order`-th power of the uniformizer. Converges to the exact
     leading coefficient as the height grows; the error estimate comes from
     the next q-power of the expansion (`expansion.gap`), the truncation of
-    eta_numeric's product and the rounding of the value to a `complex`.
+    eta_numeric's product, the precision lost by each point (see _eta_at)
+    and by the normalization e^(2 pi height order) (under
+    log2(8 (1 + 2 pi height |order|)) bits), which runs with the product at
+    the largest precision any of them needs, and the rounding to a `complex`.
 
     Callers evaluating several quotients at one cusp pass one dict `etas`,
-    filled with eta(delta * sigma(i*height)) keyed by (delta, sigma, height,
-    terms), so that each point is evaluated once."""
-    if height < 4:
-        raise ValueError("height must be at least 4")
+    filled with (eta(delta * sigma(i*height)), loss) keyed by (delta, sigma,
+    height, terms), so that each point is evaluated once."""
+    if not isinstance(height, int) or height < 4:
+        raise ValueError("height must be an integer of at least 4")
     if terms < 50:
         raise ValueError("terms must be at least 50")
     etas = {} if etas is None else etas
     order, gap = expansion.order, expansion.gap
-    with mp.workdps(50):
-        w = sigma.act(mp.mpc(0, height))
+    factors = []
+    for delta, r in h.exponents:
+        key = (delta, sigma, height, terms)
+        if key not in etas:
+            etas[key] = _eta_at(delta, sigma, height, terms)
+        factors.append((r, *etas[key]))
+    norm_loss = (7 * height * abs(order.numerator) // order.denominator + 1).bit_length() + 3
+    with mp.workprec(_oracle_prec(max(norm_loss, *(loss for *_, loss in factors)))):
         value = mp.mpc(1)
-        for delta, r in h.exponents:
-            key = (delta, sigma, height, terms)
-            if key not in etas:
-                etas[key] = eta_numeric(delta * w, terms)
-            value *= etas[key] ** r
-        # each product stops where its tail bound is below 2^-(prec+16), or
-        # at `terms` factors; after reduction |q| <= e^(-pi sqrt(3)), where
-        # the tail bound after `terms` factors is largest
-        qmax = exp(-pi * sqrt(3))
-        per_factor = max(mp.ldexp(1, -(mp.mp.prec + _ETA_GUARD_BITS)), _eta_tail_bound(qmax, terms))
-        truncation = sum(abs(r) for _, r in h.exponents) * per_factor
+        for r, eta, _ in factors:
+            value *= eta**r
         # the uniformizer at i*height is the real number e^(-2 pi height)
-        value *= mp.exp(2 * mp.pi * height * mp.mpf(order.numerator) / order.denominator)
-        next_term = mp.exp(-2 * mp.pi * height * mp.mpf(gap.numerator) / gap.denominator)
-        # complex() rounds each part of the value to 53 bits
-        rounding = mp.mpf(2) ** -52
-        estimate = float(abs(value) * (next_term + truncation + rounding) + mp.mpf(10) ** (-40))
-        return NumericLeadingCoeff(value=complex(value), error_estimate=estimate)
+        value *= mp.exp(mp.fdiv(2 * height * order.numerator, order.denominator) * mp.pi)
+        loss = 2.0 ** (norm_loss - mp.mp.prec)
+        loss += sum(abs(r) * 2.0 ** (lost - _oracle_prec(lost)) for r, _, lost in factors)
+        value = complex(value)
+    # each product stops where its tail bound is below 2^-(prec+16), at 50
+    # digits or finer, or at `terms` factors; after reduction |q| <=
+    # e^(-pi sqrt(3)), where the tail bound after `terms` factors is largest
+    qmax = exp(-pi * sqrt(3))
+    per_factor = max(2.0 ** -(_oracle_prec(0) + _ETA_GUARD_BITS), _eta_tail_bound(qmax, terms))
+    truncation = sum(abs(r) for _, r in h.exponents) * per_factor
+    next_term = exp(-2 * pi * height * gap)
+    # complex() rounds each part of the value to 53 bits
+    estimate = abs(value) * (next_term + truncation + 2.0**-52 + loss) + 1e-40
+    return NumericLeadingCoeff(value=value, error_estimate=estimate)
 
 
 def suggested_height(expansion: CuspExpansion) -> int:

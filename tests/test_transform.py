@@ -5,6 +5,7 @@ from math import gcd
 import mpmath as mp
 import pytest
 
+from cuspidal import transform
 from cuspidal.errors import ScopeError
 from cuspidal.eta import EtaQuotient, order_at_cusp, pq_generators, prime_power_generators
 from cuspidal.linalg import QmodZ, factorize
@@ -15,6 +16,7 @@ from cuspidal.transform import (
     _eta_factor_count,
     _eta_product,
     _eta_tail_bound,
+    _inverse_sqrt,
     _to_fundamental_domain,
     _upper_triangularize,
     _valuation,
@@ -207,6 +209,23 @@ def test_eta_transformation_identity_numeric():
             checked += 1
 
 
+def test_oracle_never_uses_the_multiplier(monkeypatch):
+    # the oracle certifies the exact values, which come from Weber's
+    # multiplier, so it must reach eta(z) without it
+    p, n = 5, 6
+    cases = [(h, sigma_matrix(p, n, m)) for h in prime_power_generators(p, n) for m in range(n + 1)]
+    expansions = [cusp_expansion(h, sigma) for h, sigma in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle used the exact transformation law")
+
+    for name in ("_multiplier24", "eta_multiplier", "_upper_triangularize"):
+        monkeypatch.setattr(transform, name, forbidden)
+    for (h, sigma), exp in zip(cases, expansions):
+        numeric = numeric_leading_coefficient(h, sigma, exp)
+        assert agrees_with_oracle(exp.leading.as_complex(), numeric.value), (h, sigma)
+
+
 def test_eta_numeric_value_at_i():
     with mp.workdps(30):
         value = eta_numeric(mp.mpc(0, 1))
@@ -218,12 +237,12 @@ def test_eta_numeric_value_at_i():
 
 def _full_product_eta(z):
     """Reference: the 200-factor q-product after the same reduction."""
-    factor, w = _to_fundamental_domain(mp.mpc(z))
+    w, x, (A, B, E) = _to_fundamental_domain(mp.mpc(z))
     q = mp.e ** (2j * mp.pi * w)
     product = mp.mpc(1)
     for k in range(1, 201):
         product *= 1 - q**k
-    return factor * mp.e ** (mp.pi * 1j * w / 12) * product
+    return mp.e ** (mp.pi * 1j * x) * product * mp.mpc(mp.ldexp(A, E), mp.ldexp(B, E))
 
 
 def _stopping_rule_points():
@@ -242,7 +261,7 @@ def test_eta_numeric_stops_at_working_precision(dps):
             reference = _full_product_eta(z)
         with mp.workdps(dps):
             value = eta_numeric(z)
-            _, w = _to_fundamental_domain(mp.mpc(z))
+            w, _, _ = _to_fundamental_domain(mp.mpc(z))
             k = _eta_factor_count(mp.im(w), 200)
             assert k <= 25
             qabs = mp.e ** (-2 * mp.pi * mp.im(w))
@@ -255,7 +274,7 @@ def test_eta_numeric_terms_caps_the_product():
     with mp.workdps(50):
         for z in _stopping_rule_points():
             full = eta_numeric(z)
-            _, w = _to_fundamental_domain(mp.mpc(z))
+            w, _, _ = _to_fundamental_domain(mp.mpc(z))
             qabs = mp.e ** (-2 * mp.pi * mp.im(w))
             for cap in (1, 2, 3):
                 capped = eta_numeric(z, terms=cap)
@@ -294,6 +313,12 @@ def mpc_eta_numeric(z, terms=200):
     return factor * mp.e ** (mp.pi * 1j * z / 12) * product
 
 
+def exact(x):
+    """The mpf x as a Fraction, from its unsigned mantissa and exponent."""
+    man, exp = x.man_exp
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
 @pytest.mark.parametrize("dps", [15, 40, 50, 100])
 def test_eta_numeric_matches_the_mpc_reference(dps):
     rng = random.Random(1618)
@@ -306,22 +331,41 @@ def test_eta_numeric_matches_the_mpc_reference(dps):
     for z in points:
         with mp.workdps(dps):
             prec = mp.mp.prec
-            value, expected = eta_numeric(z), mpc_eta_numeric(z)
-            _, w = _to_fundamental_domain(mp.mpc(z))
-            assert w == mpc_to_fundamental_domain(mp.mpc(z))[1], z
-            q, count = mp.expjpi(2 * w), _eta_factor_count(mp.im(w), 200)
-            re, im, bits = _eta_product(q, count)
-        # the fixed-point product against the mpc loop run 64 bits finer
+            z = mp.mpc(z)
+            value = eta_numeric(z)
+            w, _, _ = _to_fundamental_domain(z)
+            q, count, bits = mp.expjpi(2 * w), _eta_factor_count(mp.im(w), 200), prec + 32
+            re, im = _eta_product(int(mp.ldexp(q.real, bits)), int(mp.ldexp(q.imag, bits)), count, bits)
+        # w is rounded once, yet lies exactly in the closed fundamental domain
+        assert abs(2 * exact(w.real)) <= 1 and exact(w.real) ** 2 + exact(w.imag) ** 2 >= 1, (dps, z)
         with mp.workprec(prec + 64):
+            # the fixed-point product against the mpc loop run 64 bits finer
             reference = mpc_eta_product(q, count)
             product = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
             assert abs(product - reference) <= mp.ldexp(abs(reference), -(prec + 8)), (dps, z)
-        # the whole value against the reference at the same precision, which
-        # rounds at every step of its product and reduction; near the real
-        # axis the reference's phase e(shift/24) of each large shift loses
-        # about log2(shift) bits, so only the points above 1e-3 are compared
-        if mp.im(z) >= 1e-3:
-            assert abs(value - expected) <= mp.ldexp(abs(expected), -(prec - 6)), (dps, z)
+            # w and the value against the mpc reduction and value run 64 bits
+            # finer, which round at every step but keep 64 spare bits
+            expected_w = mpc_to_fundamental_domain(z)[1]
+            assert abs(w - expected_w) <= mp.ldexp(abs(expected_w), -(prec - 4)), (dps, z)
+            expected = mpc_eta_numeric(z)
+            assert abs(value - expected) <= mp.ldexp(abs(expected), -(prec - 4)), (dps, z)
+
+
+def test_inverse_sqrt_is_the_principal_branch():
+    rng = random.Random(2718)
+    # both half-planes, both axes (the negative real axis takes +i sqrt|u|),
+    # odd and even exponents and sizes far from the target precision
+    cases = [(u, v, e) for u, v in ((5, 0), (-5, 0), (0, 3), (0, -3), (-7, 1), (-7, -1)) for e in (0, 1, -3)]
+    cases += [(rng.randint(-2**k, 2**k), rng.randint(-2**k, 2**k), rng.randint(-400, 400))
+              for k in (1, 40, 300) for _ in range(50)]
+    for u, v, e in cases:
+        if u == v == 0:
+            continue
+        A, B, E = _inverse_sqrt(u, v, e, 100)
+        with mp.workprec(200):
+            expected = 1 / mp.sqrt(mp.mpc(mp.ldexp(u, e), mp.ldexp(v, e)))
+            value = mp.mpc(mp.ldexp(A, E), mp.ldexp(B, E))
+            assert abs(value - expected) <= mp.ldexp(abs(expected), -100), (u, v, e)
 
 
 def test_sigma_matrix_examples():
@@ -516,30 +560,46 @@ def test_numeric_oracle_reports_error_estimate():
     # the estimate covers the truncation of each eta factor at the number of
     # factors eta_numeric actually multiplied
     with mp.workdps(50):
-        w = sigma.act(mp.mpc(0, 8))
+        w = (sigma.a * 8j + sigma.b) / (sigma.c * 8j + sigma.d)
         truncation = mp.mpf(0)
         for delta, r in h.exponents:
-            _, z = _to_fundamental_domain(delta * w)
+            z, _, _ = _to_fundamental_domain(mp.mpc(delta * w))
             k = _eta_factor_count(mp.im(z), 200)
             truncation += abs(r) * _eta_tail_bound(mp.e ** (-2 * mp.pi * mp.im(z)), k)
     assert result.error_estimate >= abs(result.value) * truncation
 
 
+def assert_estimate_bounds_the_error(h, sigma, height, etas=None):
+    """The oracle's error estimate covers its distance to the exact leading
+    coefficient evaluated at 50 digits, so the rounding of the oracle's value
+    to a complex counts as error."""
+    exp = cusp_expansion(h, sigma)
+    numeric = numeric_leading_coefficient(h, sigma, exp, height=height, etas=etas)
+    with mp.workdps(50):
+        phase = exp.leading.phase.value
+        exact = mp.e ** (2j * mp.pi * mp.mpf(phase.numerator) / phase.denominator)
+        for prime, v in exp.leading.half_exponents:
+            exact *= mp.mpf(prime) ** (mp.mpf(v) / 2)
+        assert abs(exact - mp.mpc(numeric.value)) <= numeric.error_estimate, (h, sigma)
+
+
 def test_numeric_oracle_error_estimate_bounds_the_error():
-    # against the exact leading coefficient evaluated at 50 digits, so the
-    # rounding of the oracle's value to a complex counts as error
     cases = [(h, sigma_matrix(p, 2, m)) for p in (5, 23) for h in prime_power_generators(p, 2) for m in range(3)]
     p, q = 13, 37
     cases += [(h, pq_sigma_matrix(p, q, level)) for h in pq_generators(p, q) for level in (1, p, q, p * q)]
     for h, sigma in cases:
-        exp = cusp_expansion(h, sigma)
-        numeric = numeric_leading_coefficient(h, sigma, exp, height=suggested_height(exp))
-        with mp.workdps(50):
-            phase = exp.leading.phase.value
-            exact = mp.e ** (2j * mp.pi * mp.mpf(phase.numerator) / phase.denominator)
-            for prime, v in exp.leading.half_exponents:
-                exact *= mp.mpf(prime) ** (mp.mpf(v) / 2)
-            assert abs(exact - mp.mpc(numeric.value)) <= numeric.error_estimate, (h, sigma)
+        assert_estimate_bounds_the_error(h, sigma, suggested_height(cusp_expansion(h, sigma)))
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40])
+def test_numeric_oracle_error_estimate_bounds_the_error_at_large_levels(n):
+    # the points delta * sigma(8i) come within 5^-(2n) of the real axis; at
+    # 50 digits the oracle lost all its digits by n = 40, so the estimate
+    # must also cover the precision that the rounding of the point costs
+    etas = {}
+    for h in prime_power_generators(5, n):
+        for m in range(n + 1):
+            assert_estimate_bounds_the_error(h, sigma_matrix(5, n, m), 8, etas)
 
 
 def test_oracle_gate_is_relative():
@@ -567,6 +627,8 @@ def test_numeric_oracle_preconditions():
     exp = cusp_expansion(h, sigma)
     with pytest.raises(ValueError):
         numeric_leading_coefficient(h, sigma, exp, height=2)
+    with pytest.raises(ValueError):
+        numeric_leading_coefficient(h, sigma, exp, height=8.5)
     with pytest.raises(ValueError):
         numeric_leading_coefficient(h, sigma, exp, terms=10)
 
