@@ -9,6 +9,12 @@ are deterministic: identical inputs produce byte-identical output (timing
 is only included when --timing is passed, since it would break that
 guarantee).
 
+A command loads only the modules it runs: this file imports the standard
+library and `.errors` alone, and each handler imports what it calls as its
+first statement. So `cusps` loads `curve` and `linalg`, and `class-group`,
+`divisor` and `eta-check` never load mpmath. Patch a handler's callee on
+its own module (say `cuspidal.verify.run_suite`), where it is looked up.
+
 Exit codes: 0 on success, 2 on scope or usage errors (`ScopeError`,
 `NotModularError`, `InputError`), 1 on internal failures (an assertion, or
 any other `ValueError` or `ArithmeticError`).
@@ -20,20 +26,7 @@ import json
 import sys
 import time
 
-from .classgroup import class_group, class_group_for_level, class_group_pq, order_matrices
-from .curve import cusps
 from .errors import InputError, NotModularError, ScopeError
-from .eta import EtaQuotient, check_modular_function, divisor, prime_power_generators
-from .jacobian import delta_cokernel, delta_matrix, generalized_torsion, pq_delta_kernel
-from .linalg import divisors_of
-from .transform import (
-    LeadingCoeff,
-    cusp_expansion,
-    numeric_leading_coefficient,
-    pq_leading_coefficients,
-    sigma_matrix,
-)
-from .verify import CRITERIA, determinant_claims, pq_closed_forms, run_suite
 
 UNIFORMIZER_NOTE = (
     "evaluation-lattice entries depend on the cusp uniformizers; this tool "
@@ -95,6 +88,7 @@ def _render(report: dict, indent: str = "") -> list:
 
 
 def cmd_cusps(args):
+    from .curve import cusps
     results = {
         "cusps": [
             {"level": c.level, "conductor": c.conductor, "degree": c.degree, "width": c.width}
@@ -105,6 +99,7 @@ def cmd_cusps(args):
 
 
 def cmd_eta_check(args):
+    from .eta import EtaQuotient, check_modular_function
     h = EtaQuotient.parse(args.expression, args.level)
     report = check_modular_function(h)
     results = {
@@ -121,6 +116,8 @@ def cmd_eta_check(args):
 
 
 def cmd_divisor(args):
+    from .eta import EtaQuotient, divisor
+    from .linalg import divisors_of
     h = EtaQuotient.parse(args.expression, args.level)
     div = divisor(h)
     results = {
@@ -132,6 +129,7 @@ def cmd_divisor(args):
 
 
 def cmd_class_group(args):
+    from .classgroup import class_group, class_group_for_level
     if args.N is not None:
         if args.p is not None or args.n is not None:
             raise ScopeError("give either --N or --p/--n, not both")
@@ -150,6 +148,8 @@ def cmd_class_group(args):
 
 
 def cmd_matrices(args):
+    from .classgroup import order_matrices
+    from .verify import determinant_claims
     mats = order_matrices(args.p, args.n)
     claims = {
         name: {"value": _decimal(value), "expected": _decimal(expected), "ok": value == expected}
@@ -165,6 +165,8 @@ def cmd_matrices(args):
 
 
 def cmd_leading_coeffs(args):
+    from .eta import prime_power_generators
+    from .transform import cusp_expansion, numeric_leading_coefficient, sigma_matrix
     p, n = args.p, args.n
     gens = prime_power_generators(p, n)
     names = ["f"] + [f"g{k}" for k in range(n - 1)]
@@ -184,6 +186,7 @@ def cmd_leading_coeffs(args):
 
 
 def cmd_delta(args):
+    from .jacobian import delta_cokernel, delta_matrix
     matrix = delta_matrix(args.p, args.n)
     results = {
         "matrix": _matrix_payload(matrix),
@@ -194,6 +197,7 @@ def cmd_delta(args):
 
 
 def cmd_torsion(args):
+    from .jacobian import generalized_torsion, pq_delta_kernel
     if args.pq is not None:
         if args.p is not None or args.n is not None:
             raise ScopeError("give either --p/--n or --pq, not both")
@@ -222,6 +226,10 @@ def cmd_torsion(args):
 
 
 def cmd_pq(args):
+    from .classgroup import class_group_pq
+    from .jacobian import pq_delta_kernel
+    from .transform import pq_leading_coefficients
+    from .verify import pq_closed_forms
     p, q = args.p, args.q
     group_result = class_group_pq(p, q)
     table = pq_leading_coefficients(p, q)
@@ -248,10 +256,12 @@ def cmd_pq(args):
 
 
 def _magnitude(lc):
+    from .transform import LeadingCoeff
     return LeadingCoeff.make(0, dict(lc.half_exponents))
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     checks = run_suite(args.suite)
     results = {
         "suite": args.suite,
@@ -344,7 +354,7 @@ def build_parser():
         "verify",
         cmd_verify,
         lambda p: p.add_argument(
-            "--suite", default="all", choices=[name for name, _ in CRITERIA] + ["all"]
+            "--suite", default="all", help="a suite named in verify.CRITERIA, or all; an unknown name lists them"
         ),
     )
     return parser

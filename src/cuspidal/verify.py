@@ -400,5 +400,5 @@ def run_suite(name: str = "all"):
     for suite_name, check in CRITERIA:
         if suite_name == name:
             return [check()]
-    raise ValueError(f"unknown suite {name!r}; choose from "
+    raise InputError(f"unknown suite {name!r}; choose from "
                      + ", ".join(n for n, _ in CRITERIA) + ", all")

@@ -218,7 +218,7 @@ def from_digits(digits):
 def test_matrices_past_4300_digits(capsys, monkeypatch):
     big, other = 7**6000, -(3**10000)  # 5071 and 4772 digits
     claims = {"det_m_times_24": (big, big), "det_u": (other, big)}
-    monkeypatch.setattr("cuspidal.cli.determinant_claims", lambda mats: claims)
+    monkeypatch.setattr("cuspidal.verify.determinant_claims", lambda mats: claims)
     code, out, err = run_cli(capsys, "matrices", "--p", "5", "--n", "2", "--json")
     assert code == 0, err
     report = json.loads(out)["claims"]
@@ -418,7 +418,7 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
         verify_module, "CRITERIA", (("mazur", failing),)
     )
-    monkeypatch.setattr("cuspidal.cli.run_suite", lambda name: [failing()])
+    monkeypatch.setattr("cuspidal.verify.run_suite", lambda name: [failing()])
     code, out, _ = run_cli(capsys, "verify", "--suite", "mazur")
     assert code == 1
     assert out.splitlines()[0] == "all_passed: false"
@@ -432,6 +432,20 @@ def test_run_suite_unknown_name():
 
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    from cuspidal.verify import CRITERIA
+
+    code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 2
+    assert out == ""
+    prefix = "error: unknown suite 'bogus'; choose from "
+    assert err.startswith(prefix)
+    assert err.removeprefix(prefix).strip().split(", ") == [name for name, _ in CRITERIA] + ["all"]
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert "verify.CRITERIA" in " ".join(out.split())
 
 
 def test_verify_json(capsys):
@@ -512,3 +526,78 @@ def test_each_eta_point_is_evaluated_once_per_command(capsys, monkeypatch):
             assert main(argv + ["--json"]) == 0
             capsys.readouterr()
             assert len(calls) == points, argv
+
+
+def fresh_modules(*argv):
+    """The `cuspidal` and mpmath modules that one command (or, with no
+    arguments, `import cuspidal`) loads in a fresh interpreter, which must
+    exit 0."""
+    import os
+    import subprocess
+    import sys
+
+    import cuspidal
+
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import cuspidal\n"
+        "code = 0\n"
+        "if sys.argv[1:]:\n"
+        "    from cuspidal.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.partition('.')[0] in ('cuspidal', 'mpmath'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    assert code == 0, (argv, done.stderr)
+    return set(modules)
+
+
+def test_package_root_loads_no_submodule():
+    assert fresh_modules() == {"cuspidal"}
+
+
+def test_cusps_loads_only_curve_and_linalg():
+    modules = fresh_modules("cusps", "12")
+    assert modules == {"cuspidal", "cuspidal.cli", "cuspidal.curve", "cuspidal.errors", "cuspidal.linalg"}
+
+
+ORACLE_MODULES = {"mpmath", "cuspidal.transform", "cuspidal.jacobian", "cuspidal.verify"}
+
+
+def test_divisor_level_commands_leave_the_oracle_unloaded():
+    for argv in (
+        ("class-group", "--N", "30"),
+        ("divisor", "eta(25) * eta(1)^-1", "--level", "25"),
+        ("eta-check", "eta(5)^6 * eta(1)^-6", "--level", "5"),
+    ):
+        modules = fresh_modules(*argv)
+        assert not modules & ORACLE_MODULES, (argv, sorted(modules & ORACLE_MODULES))
+
+
+def test_every_subcommand_runs_from_a_fresh_process():
+    """Each handler imports what it calls: in a fresh interpreter nothing
+    else has loaded its modules."""
+    from cuspidal.cli import build_parser
+
+    commands = {
+        "cusps": ("12",),
+        "eta-check": ("eta(5)^6 * eta(1)^-6", "--level", "5"),
+        "divisor": ("eta(25) * eta(1)^-1", "--level", "25"),
+        "class-group": ("--p", "5", "--n", "3"),
+        "matrices": ("--p", "5", "--n", "2"),
+        "leading-coeffs": ("--p", "5", "--n", "2"),
+        "delta": ("--p", "5", "--n", "2"),
+        "torsion": ("--pq", "13", "37"),
+        "pq": ("--p", "13", "--q", "37"),
+        "verify": ("--suite", "mazur"),
+    }
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(commands) == set(subparsers.choices)
+    for name, args in commands.items():
+        assert "cuspidal.cli" in fresh_modules(name, *args), name
