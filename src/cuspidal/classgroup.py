@@ -5,7 +5,7 @@ identities (`verify.determinant_claims`) certify the prime-power case."""
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .curve import CuspDivisor, cusp_degrees
+from .curve import CuspDivisor, Level, cusp_degrees, level
 from .errors import InputError, ScopeError
 from .eta import (
     EtaQuotient,
@@ -14,16 +14,7 @@ from .eta import (
     pq_generators,
     prime_power_generators,
 )
-from .linalg import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel,
-    congruence_kernel,
-    divisor_valuations,
-    factorize,
-    hermite_row_basis,
-    is_prime,
-)
+from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis, is_prime
 
 
 @dataclass(frozen=True)
@@ -59,10 +50,6 @@ class OrderMatrices:
     u: IntMatrix
     v: IntMatrix
 
-    @property
-    def vmu(self) -> IntMatrix:
-        return self.v * self.m24 * self.u
-
 
 def _require_odd_prime_scope(p):
     if p in (2, 3):
@@ -82,10 +69,15 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     return [coeffs.get(d, 0) for d in cusp_degrees(E.N)][:-1]
 
 
-def _divisors(N: int, quotients) -> tuple:
-    """Divisors of the given eta quotients on X0(N), evaluated together."""
-    rows = _divisor_rows(N, [h.exponents for h in quotients], divisor_valuations(N))
-    return tuple(CuspDivisor.make(N, dict(zip(cusp_degrees(N), row))) for row in rows)
+def _class_group_result(lvl: Level, rows, certified: bool, modulus=None) -> ClassGroupResult:
+    """C(N) as the cokernel of the coordinates (`divisor_lattice_coordinates`)
+    of the given divisor coefficient rows, which are its generators; the
+    rows come checked from `_divisor_rows`, so the divisors are built as
+    they are."""
+    group = cokernel([row[:-1] for row in rows], len(lvl.degrees) - 1, modulus)
+    levels = list(lvl.degrees)
+    generators = tuple(CuspDivisor(lvl.N, tuple((d, c) for d, c in zip(levels, row) if c)) for row in rows)
+    return ClassGroupResult(N=lvl.N, group=group, generator_divisors=generators, certified=certified)
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
@@ -94,16 +86,17 @@ def class_group(p: int, n: int) -> ClassGroupResult:
     _require_odd_prime_scope(p)
     if n < 1:
         raise InputError("n must be positive")
-    gen_divisors = _divisors(p**n, prime_power_generators(p, n))
-    group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], n)
-    return ClassGroupResult(N=p**n, group=group, generator_divisors=gen_divisors, certified=True)
+    lvl = Level.of({p: n})
+    rows = _divisor_rows(lvl, [h.exponents for h in prime_power_generators(p, n)])
+    return _class_group_result(lvl, rows, certified=True)
 
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
-    """C(pq) for distinct primes p == q == 1 mod 12, from the three-unit lattice."""
-    gen_divisors = _divisors(p * q, pq_generators(p, q))
-    group = cokernel([divisor_lattice_coordinates(d) for d in gen_divisors], 3)
-    return ClassGroupResult(N=p * q, group=group, generator_divisors=gen_divisors, certified=True)
+    """C(pq) for distinct primes p == q == 1 mod 12, from the three-unit
+    lattice. `pq_generators` certifies p and q prime, so N is not factored."""
+    gens = pq_generators(p, q)
+    lvl = Level.of({p: 1, q: 1})
+    return _class_group_result(lvl, _divisor_rows(lvl, [h.exponents for h in gens]), certified=True)
 
 
 def order_matrices(p: int, n: int) -> OrderMatrices:
@@ -113,7 +106,7 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
         raise InputError("n must be positive")
     N = p**n
     m24 = [[order_coefficient(N, p**j, p**i) for j in range(n + 1)] for i in range(n + 1)]
-    degrees = list(cusp_degrees(N).values())
+    degrees = list(Level.of({p: n}).degrees.values())
     u = [[degrees[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     c = 24 // gcd(p - 1, 12)
     v = []
@@ -128,18 +121,17 @@ def order_matrices(p: int, n: int) -> OrderMatrices:
     return OrderMatrices(p=p, n=n, m24=IntMatrix(m24), u=IntMatrix(u), v=IntMatrix(v))
 
 
-def _exponent_rows(N: int, valuations) -> list:
+def _exponent_rows(lvl: Level) -> list:
     """Hermite basis of the lattice of exponent vectors, over the divisors of
-    N in increasing order, that satisfy all four Ligozat conditions on X0(N),
-    where `valuations` = divisor_valuations(N).
+    N in increasing order, that satisfy all four Ligozat conditions on X0(N).
 
     The weight-zero condition is solved exactly; the two mod-24 congruences
     and the even-valuation conditions (one per prime dividing N) are imposed
     by a congruence-kernel computation.
     """
+    N, deltas = lvl.N, list(lvl.degrees)
     if N < 2:
         raise InputError("N must be at least 2")
-    deltas = list(cusp_degrees(N))
     # in the basis e_i - e_last of the weight-zero sublattice, a weight row w
     # becomes w_i - w_last, and coordinates x give the exponents (x, -sum x)
     rows = []
@@ -147,8 +139,7 @@ def _exponent_rows(N: int, valuations) -> list:
     for weights in ([d % 24 for d in deltas], [(N // d) % 24 for d in deltas]):
         rows.append([w - weights[-1] for w in weights[:-1]])
         moduli.append(24)
-    for by_divisor in valuations.values():
-        weights = list(by_divisor.values())
+    for weights in lvl.valuations:
         rows.append([(w - weights[-1]) % 2 for w in weights[:-1]])
         moduli.append(2)
     # the kernel comes in Hermite form, and the appended column is a linear
@@ -159,16 +150,15 @@ def _exponent_rows(N: int, valuations) -> list:
 def eta_unit_exponent_basis(N: int) -> list:
     """Hermite basis (as EtaQuotients) of the lattice of exponent vectors
     satisfying all four Ligozat conditions on X0(N)."""
-    rows = _exponent_rows(N, divisor_valuations(N))
-    deltas = list(cusp_degrees(N))
-    return [EtaQuotient.make(N, dict(zip(deltas, vec))) for vec in rows]
+    lvl = level(N)
+    return [EtaQuotient.make(N, dict(zip(lvl.degrees, vec))) for vec in _exponent_rows(lvl)]
 
 
-def _lattice_modulus(factors: dict) -> int:
-    """m(N) = prod over p^a || N of (p^2 - 1) p^(a-1), for N with the
-    factorization {p: a}: m(N) * Z^(k-1) lies in the lattice L of coordinates
-    (`divisor_lattice_coordinates`) of the eta-unit divisors on X0(N), where
-    k = d(N). So the exponent of C(N) divides m(N).
+def _lattice_modulus(lvl: Level) -> int:
+    """m(N) = prod over p^a || N of (p^2 - 1) p^(a-1): m(N) * Z^(k-1) lies
+    in the lattice L of coordinates (`divisor_lattice_coordinates`) of the
+    eta-unit divisors on X0(N), where k = d(N). So the exponent of C(N)
+    divides m(N).
 
     Proof. Write 24M(N) for the k x k matrix of order_coefficient(N, d,
     delta), rows delta, columns d: the divisor of the eta quotient with
@@ -195,21 +185,19 @@ def _lattice_modulus(factors: dict) -> int:
        divisor of an eta quotient with exponents r has degree (sum r) psi(N)
        / 24, so sum x = 0. Then 24x passes all four of Ligozat's conditions,
        and m z, the coordinates of its divisor, lies in L."""
-    return prod((p * p - 1) * p ** (a - 1) for p, a in factors.items())
+    return prod((p * p - 1) * p ** (a - 1) for p, a in lvl.factors)
 
 
-def _unit_divisor_rows(N: int) -> list:
+def _unit_divisor_rows(lvl: Level) -> list:
     """Hermite basis of the lattice of eta-unit divisors on X0(N), as integer
     coefficient rows over the divisors of N in increasing order. The Hermite
     form runs on the coordinates, where the lattice has full rank, modulo
     `_lattice_modulus`, and the coefficient at Q_N is then put back."""
-    deltas = list(cusp_degrees(N))
-    valuations = divisor_valuations(N)
-    rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(N, valuations)]
-    coordinates = [row[:-1] for row in _divisor_rows(N, rows, valuations)]
-    modulus = _lattice_modulus({p: vals[N] for p, vals in valuations.items()})
-    basis = hermite_row_basis(coordinates, modulus)
-    degrees = list(cusp_degrees(N).values())
+    deltas = list(lvl.degrees)
+    rows = [[(d, r) for d, r in zip(deltas, vec) if r] for vec in _exponent_rows(lvl)]
+    coordinates = [row[:-1] for row in _divisor_rows(lvl, rows)]
+    basis = hermite_row_basis(coordinates, _lattice_modulus(lvl))
+    degrees = list(lvl.degrees.values())
     return [x + [-sum(c * phi for c, phi in zip(x, degrees))] for x in basis]
 
 
@@ -217,8 +205,8 @@ def eta_unit_divisor_lattice(N: int) -> list:
     """Canonical basis of the lattice of divisors of Ligozat-valid eta
     quotients on X0(N). For N = p^n with p >= 5 this is the full lattice of
     principal cuspidal divisors."""
-    deltas = list(cusp_degrees(N))
-    return [CuspDivisor.make(N, dict(zip(deltas, vec))) for vec in _unit_divisor_rows(N)]
+    lvl = level(N)
+    return [CuspDivisor.make(N, dict(zip(lvl.degrees, vec))) for vec in _unit_divisor_rows(lvl)]
 
 
 # The budget of the generic path, in the two sizes its cost grows with: its
@@ -243,27 +231,20 @@ def class_group_for_level(N: int) -> ClassGroupResult:
         return ClassGroupResult(
             N=1, group=AbelianGroup.trivial(), generator_divisors=(), certified=True
         )
-    factors = factorize(N)
-    if len(factors) == 1:
-        ((p, n),) = factors.items()
+    lvl = level(N)
+    if len(lvl.factors) == 1:
+        ((p, n),) = lvl.factors
         if p >= 5:
             return class_group(p, n)
-    if len(factors) == 2 and all(e == 1 for e in factors.values()):
-        p, q = sorted(factors)
+    if len(lvl.factors) == 2 and all(e == 1 for _, e in lvl.factors):
+        p, q = lvl.primes
         if p % 12 == 1 and q % 12 == 1:
             return class_group_pq(p, q)
-    levels = prod(a + 1 for a in factors.values())
-    modulus = _lattice_modulus(factors)
+    levels = len(lvl.degrees)
+    modulus = _lattice_modulus(lvl)
     if levels > MAX_GENERIC_LEVELS or modulus.bit_length() > MAX_GENERIC_MODULUS_BITS:
         raise ScopeError(
             f"N = {N} has {levels} cusp levels and m(N) of {modulus.bit_length()} bits; the generic"
             f" path takes at most {MAX_GENERIC_LEVELS} levels and {MAX_GENERIC_MODULUS_BITS} bits"
         )
-    deltas = list(cusp_degrees(N))
-    rows = _unit_divisor_rows(N)
-    group = cokernel([row[:-1] for row in rows], len(deltas) - 1, modulus)
-    # the rows are a checked Hermite basis, so the divisors need no re-validation
-    generators = tuple(
-        CuspDivisor(N, tuple((d, c) for d, c in zip(deltas, row) if c)) for row in rows
-    )
-    return ClassGroupResult(N=N, group=group, generator_divisors=generators, certified=False)
+    return _class_group_result(lvl, _unit_divisor_rows(lvl), certified=False, modulus=modulus)

@@ -116,13 +116,13 @@ def cmd_eta_check(args):
 
 
 def cmd_divisor(args):
+    from .curve import cusp_degrees
     from .eta import EtaQuotient, divisor
-    from .linalg import divisors_of
     h = EtaQuotient.parse(args.expression, args.level)
     div = divisor(h)
     results = {
         "expression": str(h),
-        "coefficients": {str(d): _decimal(div.coefficient(d)) for d in divisors_of(args.level)},
+        "coefficients": {str(d): _decimal(div.coefficient(d)) for d in cusp_degrees(args.level)},
         "degree": _decimal(div.degree()),
     }
     return {"expression": args.expression, "level": args.level}, results

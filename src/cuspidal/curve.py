@@ -8,12 +8,16 @@ multiplicity.
 """
 
 import functools
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, prod
 from types import MappingProxyType
 
-from .errors import InputError
+from .errors import InputError, ScopeError
 from .linalg import factorize
+
+# A level with more cusp levels than this is refused before its tables are
+# built: they take time and memory in proportion to d(N).
+MAX_CUSP_LEVELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -25,19 +29,58 @@ class Cusp:
     width: int
 
 
+@dataclass(frozen=True)
+class Level:
+    """The level N of X0(N) and what its cusps read from the factorization
+    of N: `factors` ((p, a), ...) and `primes` in increasing order,
+    `degrees`, the read-only map d -> phi(gcd(d, N/d)) from the divisors d
+    of N in increasing order to the degrees of the cusps of level d, and
+    `valuations`, for each prime p the exponents v_p(d) in that order.
+    Equality and hash go by N and its factors."""
+
+    N: int
+    factors: tuple
+    primes: tuple = field(compare=False)
+    degrees: MappingProxyType = field(compare=False)
+    valuations: tuple = field(compare=False)
+
+    @classmethod
+    def of(cls, factors: dict) -> "Level":
+        """The record of N = prod p^a from {p: a}, whose keys must be primes
+        (not checked), in one pass over the prime powers."""
+        factors = tuple(sorted(factors.items()))
+        count = prod(a + 1 for _, a in factors)
+        if count > MAX_CUSP_LEVELS:
+            N = prod(p**a for p, a in factors)
+            raise ScopeError(f"N = {N} has {count} cusp levels; at most {MAX_CUSP_LEVELS} are supported")
+        rows = [(1, 1, ())]
+        for p, a in factors:
+            # phi(gcd(d, N/d)) is the product over p^a || N of p^(k-1) (p-1),
+            # k = min(v_p(d), a - v_p(d)), where k > 0
+            local = [(p**v, p ** (min(v, a - v) - 1) * (p - 1) if 0 < v < a else 1, v) for v in range(a + 1)]
+            rows = [(d * pv, phi * f, (*vals, v)) for d, phi, vals in rows for pv, f, v in local]
+        rows.sort()
+        return cls(
+            N=rows[-1][0],
+            factors=factors,
+            primes=tuple(p for p, _ in factors),
+            degrees=MappingProxyType({d: phi for d, phi, _ in rows}),
+            valuations=tuple(zip(*(vals for *_, vals in rows))),
+        )
+
+
 @functools.lru_cache(maxsize=8)
+def level(N: int) -> Level:
+    """The record of the level N, from one factorization of N."""
+    if N < 1:
+        raise InputError("level N must be positive")
+    return Level.of(factorize(N))
+
+
 def cusp_degrees(N: int):
     """Read-only map d -> phi(gcd(d, N/d)) from the divisors d of N, in
     increasing order, to the degrees of the cusps of level d."""
-    if N < 1:
-        raise InputError("level N must be positive")
-    rows = [(1, 1)]
-    for p, e in factorize(N).items():
-        # phi(gcd(d, N/d)) is the product over p^e || N of p^(k-1) (p-1),
-        # k = min(v_p(d), e - v_p(d)), where k > 0
-        local = [(p**v, p ** (min(v, e - v) - 1) * (p - 1) if 0 < v < e else 1) for v in range(e + 1)]
-        rows = [(d * pv, phi * f) for d, phi in rows for pv, f in local]
-    return MappingProxyType(dict(sorted(rows)))
+    return level(N).degrees
 
 
 def cusps(N: int) -> list:
@@ -61,10 +104,11 @@ class CuspDivisor:
 
     @classmethod
     def make(cls, N, coeffs) -> "CuspDivisor":
-        levels = cusp_degrees(N)
+        if N < 1:
+            raise InputError("level N must be positive")
         items = []
         for d, c in sorted(dict(coeffs).items()):
-            if d not in levels:
+            if not (d >= 1 and N % d == 0):
                 raise InputError(f"{d} is not a divisor of {N}")
             r = int(c)
             if r != c:

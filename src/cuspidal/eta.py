@@ -7,9 +7,9 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .curve import CuspDivisor, cusp_degrees
+from .curve import CuspDivisor, Level, level
 from .errors import InputError, NotModularError, ScopeError
-from .linalg import _record_factorization, divisor_valuations, is_prime
+from .linalg import is_prime
 
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
@@ -29,10 +29,9 @@ class EtaQuotient:
     def make(cls, N, exponents) -> "EtaQuotient":
         if N < 1:
             raise InputError("level N must be positive")
-        levels = cusp_degrees(N)
         items = []
         for delta, r in sorted(dict(exponents).items()):
-            if delta not in levels:
+            if not (delta >= 1 and N % delta == 0):
                 raise InputError(f"{delta} is not a divisor of {N}")
             r = int(r)
             if r:
@@ -110,19 +109,16 @@ def check_modular_function(h: EtaQuotient) -> LigozatReport:
     Quotients passing the test are defined over the rationals; the library
     relies on that fact but has no independent rationality check.
     """
-    odd = _odd_valuations(divisor_valuations(h.N), (d for d, _ in h.exponents))
-    return LigozatReport.of(_ligozat(h.N, h.exponents, odd))
+    return LigozatReport.of(_ligozat(h.N, h.exponents, _odd_valuations(level(h.N))))
 
 
-def _odd_valuations(valuations, deltas) -> dict:
-    """{delta: bit mask of the primes p, in the order of `valuations` =
-    divisor_valuations(N), with v_p(delta) odd}, for the given deltas."""
-    odd = dict.fromkeys(deltas, 0)
-    for i, vals in enumerate(valuations.values()):
-        for d in odd:
-            if vals[d] & 1:
-                odd[d] |= 1 << i
-    return odd
+def _odd_valuations(lvl: Level) -> dict:
+    """{d: bit mask of the primes p of N, in increasing order, with v_p(d)
+    odd} over the divisors d of N."""
+    masks = [0] * len(lvl.degrees)
+    for i, vals in enumerate(lvl.valuations):
+        masks = [mask | (v & 1) << i for mask, v in zip(masks, vals)]
+    return dict(zip(lvl.degrees, masks))
 
 
 def _ligozat(N: int, row, odd) -> tuple:
@@ -148,11 +144,11 @@ def order_coefficient(N: int, d: int, delta: int) -> int:
     return order
 
 
-def _orders24(N: int, rows):
+def _orders24(lvl: Level, rows):
     """24 times the orders, level by level, of the eta quotients on X0(N) with
     the given sparse exponent rows ((delta, r), ...): r times the column of
     order_coefficient(N, d, delta), summed over nonzero entries, each built once."""
-    levels = list(cusp_degrees(N))
+    N, levels = lvl.N, list(lvl.degrees)
     columns = {}
     for row in rows:
         total = [0] * len(levels)
@@ -170,17 +166,17 @@ def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
     return Fraction(sum(r * order_coefficient(h.N, d, delta) for delta, r in h.exponents), 24)
 
 
-def _divisor_rows(N: int, rows, valuations) -> list:
+def _divisor_rows(lvl: Level, rows) -> list:
     """Integer coefficients, level by level in increasing order, of the
     divisors of the eta quotients on X0(N) with the given sparse exponent
-    rows (`valuations` = divisor_valuations(N)). Failing Ligozat's test raises
-    NotModularError; a non-integral order or nonzero degree, AssertionError.
-    The EtaQuotient is built only for the message of an error."""
-    degrees = cusp_degrees(N)
+    rows. Failing Ligozat's test raises NotModularError; a non-integral
+    order or nonzero degree, AssertionError. The EtaQuotient is built only
+    for the message of an error."""
+    N, degrees = lvl.N, lvl.degrees
     phis = list(degrees.values())
-    odd = _odd_valuations(valuations, degrees)
+    odd = _odd_valuations(lvl)
     out = []
-    for row, orders in zip(rows, _orders24(N, rows)):
+    for row, orders in zip(rows, _orders24(lvl, rows)):
         residues = _ligozat(N, row, odd)
         if any(residues):
             h = EtaQuotient(N, tuple(row))
@@ -201,8 +197,9 @@ def _divisor_rows(N: int, rows, valuations) -> list:
 
 def divisor(h: EtaQuotient) -> CuspDivisor:
     """Divisor of a Ligozat-valid eta quotient, with integer coefficients."""
-    (coeffs,) = _divisor_rows(h.N, [h.exponents], divisor_valuations(h.N))
-    return CuspDivisor.make(h.N, dict(zip(cusp_degrees(h.N), coeffs)))
+    lvl = level(h.N)
+    (coeffs,) = _divisor_rows(lvl, [h.exponents])
+    return CuspDivisor.make(h.N, dict(zip(lvl.degrees, coeffs)))
 
 
 def prime_power_generators(p: int, n: int) -> list:
@@ -224,8 +221,7 @@ def pq_generators(p: int, q: int) -> list:
     """The three eta units on X0(pq) for distinct primes p, q == 1 mod 12."""
     if not (is_prime(p) and is_prime(q)) or p == q or p % 12 != 1 or q % 12 != 1:
         raise ScopeError(f"(p, q) = ({p}, {q}) must be distinct primes == 1 mod 12")
-    # the level's cusp table and valuations then need no search for p and q
-    N = _record_factorization({p: 1, q: 1})
+    N = p * q
     return [
         EtaQuotient.make(N, {1: 1, q: 1, p: -1, N: -1}),
         EtaQuotient.make(N, {1: 1, p: 1, q: -1, N: -1}),

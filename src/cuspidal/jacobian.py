@@ -12,9 +12,9 @@ cuspidal divisor class group.
 from dataclasses import dataclass
 from math import gcd
 
-from .classgroup import divisor_lattice_coordinates
+from .classgroup import class_group_pq, divisor_lattice_coordinates
 from .errors import InputError, ScopeError
-from .eta import divisor, pq_generators, prime_power_generators
+from .eta import divisor, prime_power_generators
 from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime
 from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
 
@@ -165,11 +165,12 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
     order (p-1)(q-1)/24 and the total torsion order is (p-1)(q-1)/3, cyclic
     up to 2-torsion. The extension itself is not resolved. `table` is
     `pq_leading_coefficients(p, q)` and `generator_divisors` the divisors of
-    `pq_generators(p, q)` (as in `class_group_pq`), each computed here when
-    not given.
+    `pq_generators(p, q)` (`class_group_pq(p, q).generator_divisors`), each
+    computed here when not given. The coordinates of a divisor are its
+    coefficients at the cusps of levels 1, p and q, so N is not factored.
     """
     if generator_divisors is None:
-        generator_divisors = [divisor(h) for h in pq_generators(p, q)]
+        generator_divisors = class_group_pq(p, q).generator_divisors
     if table is None:
         table = pq_leading_coefficients(p, q)
     N = p * q
@@ -188,7 +189,7 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
                 assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
                 row.append(diff // 2)
         lc_rows.append(row)
-    w = [divisor_lattice_coordinates(d) for d in generator_divisors]
+    w = [[d.coefficient(level) for level in levels] for d in generator_divisors]
     assert IntMatrix(w).det(), "the pq generator divisors are linearly dependent"
     # the kernel is {x in Z^3 : x . W^-1 . lc_rows integral} modulo the rows
     # of W; with y = x . W^-1 it is {y in Q^3 : y . [W | lc_rows] integral}

@@ -7,7 +7,7 @@ Everything here is exact; no floating point is used anywhere in this module.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .errors import InputError, ScopeError
 
@@ -359,35 +359,15 @@ _TRIAL_LIMIT = 256
 _RHO_STEPS = 1 << 16
 
 
-# Factorizations that callers already know, by their product, newest last
-# (`_record_factorization`); `factorize` returns them without a search.
-_RECORDED = {}
-
-
-def _record_factorization(factors: dict) -> int:
-    """Record {p: exponent} as the factorization of n, the product of its
-    prime powers, and return n. Each p must be certified prime by
-    `is_prime`; the eight latest records are kept."""
-    if not all(e > 0 and is_prime(p) for p, e in factors.items()):
-        raise ValueError(f"{factors} is not a factorization into primes")
-    n = prod(p**e for p, e in factors.items())
-    _RECORDED[n] = dict(sorted(factors.items()))
-    if len(_RECORDED) > 8:
-        del _RECORDED[next(iter(_RECORDED))]
-    return n
-
-
 def factorize(n: int) -> dict:
-    """Prime factorization {p: exponent} of a positive integer: a recorded
-    one (`_record_factorization`), or trial division below 256, then
-    perfect-power roots, Miller-Rabin and Pollard rho on what is left.
-    Raises ScopeError for a factor that is a probable prime of 3.3e24 or
-    more, which cannot be certified, or a composite factor of that size in
-    which Pollard rho finds no factor within 2^16 steps."""
+    """Prime factorization {p: exponent} of a positive integer: trial
+    division below 256, then perfect-power roots, Miller-Rabin and Pollard
+    rho on what is left. Raises ScopeError for a factor that is a probable
+    prime of 3.3e24 or more, which cannot be certified, or a composite
+    factor of that size in which Pollard rho finds no factor within 2^16
+    steps."""
     if n < 1:
         raise InputError("factorize expects a positive integer")
-    if n in _RECORDED:
-        return dict(_RECORDED[n])
     out = {}
     m = n
     p = 2
@@ -485,34 +465,6 @@ def is_prime(n: int) -> bool:
     if not _certifiable(n):
         raise ScopeError(f"cannot certify that {n} is prime (only exact below 3.3e24)")
     return True
-
-
-def divisors_of(n: int) -> list:
-    """Positive divisors in increasing order."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def divisor_valuations(n: int) -> dict:
-    """{p: {d: v_p(d)}} over the primes p of n and the divisors d of n, both
-    in increasing order, from one factorization."""
-    factors = sorted(factorize(n).items())
-    divisors = [1]
-    for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    divisors.sort()
-    out = {}
-    for p, e in factors:
-        if e == 1:
-            out[p] = {d: 0 if d % p else 1 for d in divisors}
-        else:
-            # v_p(d) is the exponent of gcd(d, p^e)
-            exponent = {p**k: k for k in range(e + 1)}
-            pe = p**e
-            out[p] = {d: exponent[gcd(d, pe)] for d in divisors}
-    return out
 
 
 def solve_exact(rows, rhs):

@@ -15,11 +15,11 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, sqrt
+from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, prod, sqrt
 
 import mpmath as mp
 
-from .curve import cusp_degrees
+from .curve import Level, level
 from .errors import ScopeError
 from .eta import EtaQuotient
 from .linalg import QmodZ, _egcd, factorize
@@ -229,8 +229,9 @@ def _valuation(n: int, p: int) -> tuple:
     return (2 * v + 2, rest // p) if rest % p == 0 else (2 * v + 1, rest)
 
 
-def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
+def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, lvl: Level = None) -> CuspExpansion:
     """Exact leading coefficient and order of h along the uniformizer of sigma.
+    `lvl` is the record of h.N, `level(h.N)` when not given.
 
     Requires weight zero (the exponents of h must sum to 0) so that the
     square-root factors of the transformation law cancel.
@@ -238,15 +239,9 @@ def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix) -> CuspExpansion:
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
     # each c below divides delta * det(sigma), with delta | N, so it factors
-    # over the primes of N (the divisors d > 1 prime to the smaller ones,
-    # until N divides a power of their product) and those of det(sigma)
-    primes, radical = [], 1
-    for d in cusp_degrees(h.N):
-        if d > 1 and gcd(d, radical) == 1:
-            primes.append(d)
-            radical *= d
-            if pow(radical, h.N.bit_length(), h.N) == 0:
-                break
+    # over the primes of N and those of det(sigma)
+    primes = list((lvl or level(h.N)).primes)
+    radical = prod(primes)
     rest = sigma.det // gcd(sigma.det, radical ** sigma.det.bit_length())
     primes += factorize(rest) if rest > 1 else []
     half = {}
@@ -282,12 +277,10 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
     from .eta import pq_generators
 
     gens = pq_generators(p, q)
+    lvl = Level.of({p: 1, q: 1})
     table = {}
     for name, h in zip(("f1", "f2", "f3"), gens):
-        table[name] = {
-            level: cusp_expansion(h, pq_sigma_matrix(p, q, level))
-            for level in (1, p, q, p * q)
-        }
+        table[name] = {d: cusp_expansion(h, pq_sigma_matrix(p, q, d), lvl) for d in (1, p, q, p * q)}
     return table
 
 

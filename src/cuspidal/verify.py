@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import mpmath as mp
 
@@ -116,8 +117,9 @@ def ling_structure(p: int, n: int) -> AbelianGroup:
 def determinant_claims(mats: OrderMatrices) -> dict:
     """The four identities of the order matrices of X0(p^n), as name ->
     (value, closed form): |det V|, det(24M), det U and the last-row sum of
-    VMU."""
+    VMU, which is sum_i V_ni sum_j 24M_ij U_jj."""
     p, n = mats.p, mats.n
+    weighted = [sum(x * u for x, u in zip(row, mats.u.diagonal())) for row in mats.m24]
     a = (p - 1) // gcd(p - 1, 12)
     b = (p + 1) // gcd(p + 1, 12)
     exponent = (n - 1) * (3 * n - 1) // 4 if n % 2 else n * (3 * n - 4) // 4
@@ -125,7 +127,7 @@ def determinant_claims(mats: OrderMatrices) -> dict:
         "abs_det_v": (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12)),
         "det_m_times_24": (mats.m24.det(), 24**n * (a * b) ** n * p**exponent),
         "det_u": (mats.u.det(), prod(cusp_degrees(p**n).values())),
-        "vmu_last_row_sum": (sum(mats.vmu.row(n)), (n + 1) * p ** (n - 1) * (p + 1)),
+        "vmu_last_row_sum": (sum(map(mul, mats.v.row(n), weighted)), (n + 1) * p ** (n - 1) * (p + 1)),
     }
 
 

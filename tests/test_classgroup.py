@@ -17,7 +17,7 @@ from cuspidal.classgroup import (
     eta_unit_exponent_basis,
     order_matrices,
 )
-from cuspidal.curve import CuspDivisor
+from cuspidal.curve import CuspDivisor, Level, level
 from cuspidal.errors import ScopeError
 from cuspidal.eta import check_modular_function, divisor, order_coefficient, pq_generators, prime_power_generators
 from cuspidal.linalg import (
@@ -25,14 +25,13 @@ from cuspidal.linalg import (
     IntMatrix,
     cokernel,
     congruence_kernel,
-    divisors_of,
     express_in_basis,
     factorize,
     hermite_row_basis,
 )
 from cuspidal.verify import determinant_claims, ling_structure, pq_closed_forms
 from test_curve import divisor_basis, lambda_embedding
-from test_linalg import bordered_lattice_index, euler_phi, quotient_structure
+from test_linalg import bordered_lattice_index, euler_phi, quotient_structure, sorted_divisors
 
 
 def test_class_group_examples():
@@ -126,6 +125,7 @@ def test_class_group_pq_examples():
 def test_pq_path_takes_the_factorization_of_n_from_p_and_q(monkeypatch):
     from cuspidal import linalg
     from cuspidal.jacobian import pq_delta_kernel
+    from cuspidal.transform import pq_leading_coefficients
 
     p, q = 1000000000177, 1000000000189
     search = linalg._pollard_rho
@@ -138,17 +138,16 @@ def test_pq_path_takes_the_factorization_of_n_from_p_and_q(monkeypatch):
     _, _, c, order = pq_closed_forms(p, q)
     assert class_group_pq(p, q).order == order
     assert pq_delta_kernel(p, q).kernel == AbelianGroup((c,))
-    assert factorize(p * q) == {p: 1, q: 1}
-    for bad in ({p: 1, 2 * q: 1}, {p: 0}):
-        with pytest.raises(ValueError):
-            linalg._record_factorization(bad)
+    table = pq_leading_coefficients(p, q)
+    magnitudes = [table["f1"][d].leading.magnitude_half_exponents for d in (1, p, q, p * q)]
+    assert magnitudes == [{p: 2}, {}, {p: 2}, {}]
 
 
 def divisor_in_lattice(E, basis):
     """Does E lie in the lattice spanned by the given cuspidal divisors?"""
     if not basis:
         return all(c == 0 for _, c in E.coefficients)
-    levels = divisors_of(E.N)
+    levels = sorted_divisors(E.N)
     vectors = [[Fraction(b.coefficient(d)) for d in levels] for b in basis]
     target = [Fraction(E.coefficient(d)) for d in levels]
     try:
@@ -188,7 +187,7 @@ def test_order_matrices_determinant_claims():
             assert mats.u.det() == prod(
                 euler_phi(gcd(p**i, p ** (n - i))) for i in range(n + 1)
             )
-            vmu = mats.vmu
+            vmu = mats.v * mats.m24 * mats.u
             assert sum(vmu.row(n)) == (n + 1) * p ** (n - 1) * (p + 1)
             claims = determinant_claims(mats)
             assert claims["abs_det_v"] == (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12))
@@ -212,7 +211,7 @@ def test_order_matrices_structure():
     # VMU orders coordinates by ascending cusp level, lambda puts the
     # base-cusp coordinate first, so the rows agree up to that rotation
     gens = prime_power_generators(7, 3)
-    vmu = mats.vmu
+    vmu = mats.v * mats.m24 * mats.u
     for idx, h in enumerate(gens):
         image = lambda_embedding(divisor(h), 7, 3)
         rotated = image[1:] + image[:1]
@@ -236,7 +235,7 @@ def test_bordered_index_consistency_with_class_group():
         mats = order_matrices(p, n)
         gens = prime_power_generators(p, n)
         vectors = [lambda_embedding(divisor(h), p, n) for h in gens]
-        extra = list(mats.vmu.row(n))
+        extra = list((mats.v * mats.m24 * mats.u).row(n))
         index = bordered_lattice_index(vectors, extra)
         det_u = mats.u.det()
         assert index == class_group(p, n).order * det_u, (p, n)
@@ -252,7 +251,7 @@ def test_eta_unit_exponent_basis_valid():
 def free_basis_exponent_vectors(N):
     """Reference for eta_unit_exponent_basis: each Ligozat row and each
     exponent vector expanded over the full weight-zero basis e_i - e_last."""
-    deltas = divisors_of(N)
+    deltas = sorted_divisors(N)
     k = len(deltas)
     free_basis = []
     for i in range(k - 1):
@@ -278,7 +277,7 @@ def free_basis_exponent_vectors(N):
 def test_eta_unit_exponent_basis_matches_free_basis_reference():
     for N in range(2, 301):
         basis = eta_unit_exponent_basis(N)
-        vectors = [[dict(h.exponents).get(d, 0) for d in divisors_of(N)] for h in basis]
+        vectors = [[dict(h.exponents).get(d, 0) for d in sorted_divisors(N)] for h in basis]
         assert vectors == free_basis_exponent_vectors(N), N
 
 
@@ -361,7 +360,7 @@ def ligozat_index(N):
 
     moduli = (24, 24) + (2,) * len(primes)
     top = image(N)
-    generators = [tuple((x - y) % m for x, y, m in zip(image(d), top, moduli)) for d in divisors_of(N)[:-1]]
+    generators = [tuple((x - y) % m for x, y, m in zip(image(d), top, moduli)) for d in sorted_divisors(N)[:-1]]
     return subgroup_order(generators, moduli)
 
 
@@ -380,7 +379,7 @@ def test_class_group_order_from_the_prime_power_order_matrices():
             if (p, a) not in dets:
                 m24 = [[order_coefficient(p**a, p**j, p**i) for j in range(a + 1)] for i in range(a + 1)]
                 dets[p, a] = abs(IntMatrix(m24).det())
-        k = len(divisors_of(N))
+        k = len(sorted_divisors(N))
         psi = N * prod(p + 1 for p in primes) // prod(primes)
         numerator = ligozat_index(N) * prod(dets[p, a] ** (k // (a + 1)) for p, a in primes.items())
         order, rest = divmod(numerator, 24 ** (k - 1) * psi)
@@ -407,13 +406,13 @@ def test_order_matrix_times_its_tridiagonal_inverse_is_scalar():
             scalar = (p * p - 1) * p ** (a - 1)
             identity = [[scalar if i == j else 0 for j in range(a + 1)] for i in range(a + 1)]
             assert m24 * IntMatrix(tridiagonal_inverse(p, a)) == IntMatrix(identity), (p, a)
-            assert _lattice_modulus({p: a}) == scalar
+            assert _lattice_modulus(Level.of({p: a})) == scalar
 
 
 def exact_class_group(N):
     """Z^(k-1) modulo the coordinates of the eta-unit divisors on X0(N), from a
     Smith form of the Hermite basis that takes no modulus."""
-    rows = _unit_divisor_rows(N)
+    rows = _unit_divisor_rows(level(N))
     return cokernel([row[:-1] for row in rows], len(rows[0]) - 1)
 
 
@@ -422,8 +421,8 @@ def test_exponent_of_the_class_group_divides_the_lattice_modulus():
     # class_group_for_level reduces mod m, so the group is taken without it
     for N in [*range(2, 2001), 5040, 9240, 27720, 30030, 55440, 60060, 720720]:
         factors = exact_class_group(N).invariant_factors
-        assert not factors or _lattice_modulus(factorize(N)) % factors[-1] == 0, N
-    assert _lattice_modulus(factorize(9240)) == 12 * 8 * 24 * 48 * 120
+        assert not factors or _lattice_modulus(level(N)) % factors[-1] == 0, N
+    assert _lattice_modulus(level(9240)) == 12 * 8 * 24 * 48 * 120
 
 
 def test_class_group_modulo_the_lattice_modulus_matches_the_exact_smith_form():
@@ -434,18 +433,37 @@ def test_class_group_modulo_the_lattice_modulus_matches_the_exact_smith_form():
 
 def test_class_group_for_level_refuses_too_many_cusp_levels():
     # 735134400 = 2^6 3^3 5^2 7 11 13 17 has 1344 cusp levels, 2^256 has 257
-    for N in (735134400, 2**256, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
+    # the product of the 30 primes below 114, with 2^30 cusp levels, is
+    # refused before its level record is built
+    primorial = prod(p for p in range(2, 114) if factorize(p) == {p: 1})
+    for N in (735134400, 2**256, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, primorial):
         with pytest.raises(ScopeError, match="cusp levels"):
             class_group_for_level(N)
     # m(2^200) = 3 2^199 and m(2^127 3) = 3 2^126 8 have more than 128 bits
     for N in (2**200, 2**127 * 3):
-        assert len(divisors_of(N)) <= MAX_GENERIC_LEVELS
+        assert len(sorted_divisors(N)) <= MAX_GENERIC_LEVELS
         with pytest.raises(ScopeError, match="bits"):
             class_group_for_level(N)
-    assert len(divisors_of(9699690)) == MAX_GENERIC_LEVELS
-    assert _lattice_modulus(factorize(9699690)).bit_length() <= MAX_GENERIC_MODULUS_BITS
-    assert _lattice_modulus(factorize(2**124 * 3)).bit_length() == MAX_GENERIC_MODULUS_BITS
+    assert len(sorted_divisors(9699690)) == MAX_GENERIC_LEVELS
+    assert _lattice_modulus(level(9699690)).bit_length() <= MAX_GENERIC_MODULUS_BITS
+    assert _lattice_modulus(level(2**124 * 3)).bit_length() == MAX_GENERIC_MODULUS_BITS
     assert not class_group_for_level(2**124 * 3).certified
+
+
+def test_class_group_for_level_factors_each_level_once(monkeypatch):
+    # the level record holds everything the class group reads from the
+    # factorization of N; the certified paths build theirs from p and q
+    from cuspidal import curve
+
+    calls, factorize_n = [], curve.factorize
+    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize_n(n))
+    curve.level.cache_clear()
+    class_group_for_level(1)
+    assert calls == []
+    for N in range(2, 1001):
+        class_group_for_level(N)
+        assert calls == [N], N
+        calls.clear()
 
 
 def test_class_group_for_level_known_value():
@@ -472,13 +490,13 @@ def test_generic_route_gives_the_certified_groups():
         certified = class_group_for_level(N)
         assert certified.certified, N
         rows = [divisor_lattice_coordinates(E) for E in eta_unit_divisor_lattice(N)]
-        assert cokernel(rows, len(divisors_of(N)) - 1) == certified.group, N
+        assert cokernel(rows, len(sorted_divisors(N)) - 1) == certified.group, N
 
 
 def per_quotient_divisor_lattice(N):
     """Reference for eta_unit_divisor_lattice: the divisor of each quotient
     of the exponent basis, one at a time, then a Hermite basis."""
-    levels = divisors_of(N)
+    levels = sorted_divisors(N)
     divisors = [divisor(h) for h in eta_unit_exponent_basis(N)]
     vectors = [[int(div.coefficient(d)) for d in levels] for div in divisors]
     return [CuspDivisor.make(N, dict(zip(levels, v))) for v in hermite_row_basis(vectors)]

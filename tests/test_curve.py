@@ -1,13 +1,14 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from cuspidal.curve import Cusp, CuspDivisor, cusp_degrees, cusps
-from cuspidal.errors import InputError
-from cuspidal.linalg import divisors_of, factorize
-from test_linalg import euler_phi
+from cuspidal.curve import MAX_CUSP_LEVELS, Cusp, CuspDivisor, Level, cusp_degrees, cusps, level
+from cuspidal.errors import InputError, ScopeError
+from cuspidal.linalg import factorize
+from test_linalg import euler_phi, sorted_divisors
 
 
 def test_cusp_counts_prime_power():
@@ -99,22 +100,78 @@ def test_complex_cusp_count_matches_p1_orbit_oracle():
 def test_degree_sum_equals_standard_cusp_count():
     for N in range(1, 201):
         total = sum(c.degree for c in cusps(N))
-        standard = sum(euler_phi(gcd(d, N // d)) for d in divisors_of(N))
+        standard = sum(euler_phi(gcd(d, N // d)) for d in sorted_divisors(N))
         assert total == standard
 
 
 def test_cusp_degrees_table():
     for N in list(range(1, 201)) + [5040, 5**20, 13 * 37, 55440, 257**11]:
-        degrees = cusp_degrees(N)
-        assert list(degrees) == divisors_of(N)
+        degrees = level(N).degrees
+        assert cusp_degrees(N) is degrees
+        assert list(degrees) == sorted_divisors(N)
         assert list(degrees.values()) == [c.degree for c in cusps(N)]
-        assert list(degrees.values()) == [euler_phi(gcd(d, N // d)) for d in divisors_of(N)]
-    degrees = cusp_degrees(12)
-    assert cusp_degrees(12) is degrees
+        assert list(degrees.values()) == [euler_phi(gcd(d, N // d)) for d in sorted_divisors(N)]
+    lvl = level(12)
+    assert level(12) is lvl
     with pytest.raises(TypeError):
-        degrees[1] = 5
-    with pytest.raises(ValueError):
-        cusp_degrees(0)
+        lvl.degrees[1] = 5
+    with pytest.raises(FrozenInstanceError):
+        lvl.N = 5
+    for N in (0, -12):
+        with pytest.raises(InputError):
+            cusp_degrees(N)
+        with pytest.raises(InputError):
+            CuspDivisor.make(N, {})
+
+
+def test_level_equality_and_hash_go_by_the_factorization():
+    assert level(12) == Level.of({2: 2, 3: 1}) == Level.of({3: 1, 2: 2})
+    assert hash(level(12)) == hash(Level.of({2: 2, 3: 1}))
+    assert level(12) != level(18) and level(1) == Level.of({})
+    assert {level(12): 1}[Level.of({2: 2, 3: 1})] == 1
+
+
+def test_level_valuations():
+    assert level(1).primes == level(1).valuations == ()
+    for N in (12, 360, 5**4, 13 * 37, 5040):
+        lvl = level(N)
+        assert lvl.primes == tuple(sorted(factorize(N)))
+        assert len(lvl.valuations) == len(lvl.primes)
+        for p, vals in zip(lvl.primes, lvl.valuations):
+            assert vals == tuple(factorize(d).get(p, 0) for d in lvl.degrees)
+
+
+def sorted_tuple_level(N):
+    """(divisors, valuations) of N by sorting one (d, v_p1(d), v_p2(d), ...)
+    tuple per divisor: the reference for the record's one-pass construction."""
+    factors = sorted(factorize(N).items())
+    rows = [(1,)]
+    for p, e in factors:
+        rows = [(row[0] * p**k, *row[1:], k) for row in rows for k in range(e + 1)]
+    rows.sort()
+    return [row[0] for row in rows], list(zip(*(row[1:] for row in rows)))
+
+
+def test_level_matches_the_references():
+    # compared as ordered lists: the order of primes and divisors is part of
+    # the record
+    for N in [*range(1, 2001), 5040, 55440, 257**11]:
+        factors = factorize(N)
+        lvl = Level.of(factors)
+        assert (lvl.N, lvl.factors, lvl.primes) == (N, tuple(sorted(factors.items())), tuple(sorted(factors))), N
+        expected_divisors, expected_valuations = sorted_tuple_level(N)
+        if N <= 2000:
+            assert expected_divisors == [d for d in range(1, N + 1) if N % d == 0], N
+        assert list(lvl.degrees) == expected_divisors, N
+        assert list(lvl.valuations) == expected_valuations, N
+        assert list(lvl.degrees.values()) == [euler_phi(gcd(d, N // d)) for d in expected_divisors], N
+
+
+def test_level_refuses_more_cusp_levels_than_its_tables_take():
+    primes = [p for p in range(2, 80) if factorize(p) == {p: 1}][:17]
+    with pytest.raises(ScopeError, match="cusp levels"):
+        Level.of(dict.fromkeys(primes, 1))
+    assert len(Level.of(dict.fromkeys(primes[:16], 1)).degrees) == MAX_CUSP_LEVELS
 
 
 def test_width_sum_equals_index():

@@ -12,8 +12,6 @@ from cuspidal.linalg import (
     QmodZ,
     cokernel,
     congruence_kernel,
-    divisor_valuations,
-    divisors_of,
     express_in_basis,
     factorize,
     hermite_row_basis,
@@ -29,6 +27,15 @@ def euler_phi(n):
     for p in factorize(n):
         out -= out // p
     return out
+
+
+def sorted_divisors(n):
+    """Positive divisors of n in increasing order, from its factorization:
+    the reference for the divisor order of the level record."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
@@ -387,7 +394,7 @@ def test_arith_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert euler_phi(1) == 1 and euler_phi(25) == 20 and euler_phi(481) == 12 * 36
-    assert divisors_of(12) == [1, 2, 3, 4, 6, 12]
+    assert sorted_divisors(12) == [1, 2, 3, 4, 6, 12]
 
 
 def trial_division(n):
@@ -438,38 +445,6 @@ def test_factorize_large_inputs():
         factorize(big * (2**61 - 1))
     with pytest.raises(InputError):
         factorize(0)
-
-
-def test_divisor_valuations():
-    assert divisor_valuations(1) == {}
-    for n in (12, 360, 5**4, 13 * 37, 5040):
-        valuations = divisor_valuations(n)
-        assert list(valuations) == sorted(factorize(n))
-        for p, by_divisor in valuations.items():
-            assert list(by_divisor) == divisors_of(n)
-            assert all(by_divisor[d] == factorize(d).get(p, 0) for d in by_divisor)
-
-
-def sorted_tuple_divisor_valuations(n):
-    """divisor_valuations by sorting one (d, v_p1(d), v_p2(d), ...) tuple per
-    divisor: the reference for the multiplicative construction."""
-    factors = sorted(factorize(n).items())
-    rows = [(1,)]
-    for p, e in factors:
-        rows = [(row[0] * p**k, *row[1:], k) for row in rows for k in range(e + 1)]
-    rows.sort()
-    return {p: {row[0]: row[i + 1] for row in rows} for i, (p, _) in enumerate(factors)}
-
-
-def test_divisor_valuations_matches_the_sorted_tuple_reference():
-    # compared as ordered lists: the order of primes and divisors is part of
-    # the result
-    for n in [*range(1, 2001), 5040, 55440, 257**11]:
-        expected = sorted_tuple_divisor_valuations(n)
-        got = divisor_valuations(n)
-        assert [(p, list(v.items())) for p, v in got.items()] == [
-            (p, list(v.items())) for p, v in expected.items()
-        ], n
 
 
 def test_express_in_basis():
@@ -738,14 +713,13 @@ def test_hermite_matches_the_unbounded_reference():
 
 def test_hermite_matches_the_reference_on_eta_divisor_rows():
     from cuspidal.classgroup import _exponent_rows
-    from cuspidal.curve import cusp_degrees
+    from cuspidal.curve import level
     from cuspidal.eta import _divisor_rows
 
     for N in [*range(2, 150), 720, 1260]:
-        valuations = divisor_valuations(N)
-        deltas = list(cusp_degrees(N))
-        exponents = [[(d, r) for d, r in zip(deltas, v) if r] for v in _exponent_rows(N, valuations)]
-        rows = _divisor_rows(N, exponents, valuations)
+        lvl = level(N)
+        exponents = [[(d, r) for d, r in zip(lvl.degrees, v) if r] for v in _exponent_rows(lvl)]
+        rows = _divisor_rows(lvl, exponents)
         assert hermite_row_basis(rows) == reference_hermite_row_basis(rows), N
 
 
@@ -780,6 +754,7 @@ def test_bounded_hermite_matches_the_exact_form_on_divisor_lattices(monkeypatch)
     """The coordinate rows and modulus m(N) that `_unit_divisor_rows` passes,
     on every generic level up to 1000 and on larger composite levels."""
     from cuspidal import classgroup
+    from cuspidal.curve import level
 
     generic = [N for N in range(2, 1001) if not classgroup.class_group_for_level(N).certified]
     levels = [*generic, 5040, 9240, 27720, 30030, 55440, 60060, 720720]
@@ -788,11 +763,11 @@ def test_bounded_hermite_matches_the_exact_form_on_divisor_lattices(monkeypatch)
         classgroup, "hermite_row_basis", lambda rows, modulus: seen.append((rows, modulus)) or []
     )
     for N in levels:
-        classgroup._unit_divisor_rows(N)
+        classgroup._unit_divisor_rows(level(N))
     folds = count_folds(monkeypatch)
     switched = []
     for N, (rows, m) in zip(levels, seen, strict=True):
-        assert m == classgroup._lattice_modulus(factorize(N))
+        assert m == classgroup._lattice_modulus(level(N))
         before = len(folds)
         assert hermite_row_basis(rows, m) == hermite_row_basis(rows), N
         if len(folds) > before:
