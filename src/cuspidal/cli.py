@@ -178,7 +178,7 @@ def cmd_leading_coeffs(args):
         for m in range(n + 1):
             sigma = sigma_matrix(p, n, m)
             expansion = cusp_expansion(h, sigma)
-            numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200, etas=etas)
+            numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, etas=etas)
             symbolic.append(str(expansion.leading))
             residuals.append(f"{abs(expansion.leading.as_complex() - numeric.value):.11e}")
         rows.append({"function": name, "symbolic": symbolic, "numeric_residual": residuals})

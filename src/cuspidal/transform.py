@@ -15,7 +15,7 @@ used to certify the exact values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, prod, sqrt
+from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, prod
 
 import mpmath as mp
 
@@ -229,21 +229,24 @@ def _valuation(n: int, p: int) -> tuple:
     return (2 * v + 2, rest // p) if rest % p == 0 else (2 * v + 1, rest)
 
 
-def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, lvl: Level = None) -> CuspExpansion:
+def _expansion_primes(lvl: Level, sigma: SigmaMatrix) -> tuple:
+    """The primes of N = lvl.N and of det(sigma). Each c of cusp_expansion
+    divides delta * det(sigma) with delta | N, so it factors over them."""
+    rest = sigma.det // gcd(sigma.det, prod(lvl.primes) ** sigma.det.bit_length())
+    return lvl.primes + (tuple(factorize(rest)) if rest > 1 else ())
+
+
+def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, primes: tuple = None) -> CuspExpansion:
     """Exact leading coefficient and order of h along the uniformizer of sigma.
-    `lvl` is the record of h.N, `level(h.N)` when not given.
+    `primes` are those of h.N and det(sigma), `_expansion_primes` when not
+    given.
 
     Requires weight zero (the exponents of h must sum to 0) so that the
     square-root factors of the transformation law cancel.
     """
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
-    # each c below divides delta * det(sigma), with delta | N, so it factors
-    # over the primes of N and those of det(sigma)
-    primes = list((lvl or level(h.N)).primes)
-    radical = prod(primes)
-    rest = sigma.det // gcd(sigma.det, radical ** sigma.det.bit_length())
-    primes += factorize(rest) if rest > 1 else []
+    primes = primes or _expansion_primes(level(h.N), sigma)
     half = {}
     sqrt_balance = 0
     factors = []
@@ -278,31 +281,31 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
 
     gens = pq_generators(p, q)
     lvl = Level.of({p: 1, q: 1})
-    table = {}
-    for name, h in zip(("f1", "f2", "f3"), gens):
-        table[name] = {d: cusp_expansion(h, pq_sigma_matrix(p, q, d), lvl) for d in (1, p, q, p * q)}
+    table = {name: {} for name in ("f1", "f2", "f3")}
+    for d in (1, p, q, p * q):
+        sigma = pq_sigma_matrix(p, q, d)
+        primes = _expansion_primes(lvl, sigma)
+        for name, h in zip(table, gens):
+            table[name][d] = cusp_expansion(h, sigma, primes)
     return table
 
 
-def _to_fundamental_domain(z):
+def _to_fundamental_domain(X: int, Y: int, S: int):
     """(w, x, (A, B, E)) with eta(z) = e^(i pi x) (A + iB) 2^E prod_j
-    (1 - e(j w)): w = gamma(z) for a word gamma = (a b; c d) in SL2(Z), in
-    the closed fundamental domain, x = (w + phase)/12 and (A + iB) 2^E the
-    principal 1/sqrt(c z + d).
+    (1 - e(j w)) at z = (X + iY)/S, Y, S > 0: w = gamma(z) for a word
+    gamma = (a b; c d) in SL2(Z), in the closed fundamental domain,
+    x = (w + phase)/12 and (A + iB) 2^E the principal 1/sqrt(c z + d).
 
-    z = (X + iY)/S exactly; D = S^2 |c z + d|^2, N = S^2 |a z + b|^2 and
-    R = S^2 Re((a z + b) conj(c z + d)) are integers and w = (R + iYS)/D, so
-    every step is exact and w is rounded once, away from zero. Only
-    eta(z + 1) = e(1/24) eta(z) and eta(-1/z) = sqrt(z/i) eta(z) enter:
-    eta(z) = e(s/24) prod_j sqrt(z_j/i) eta(w) for the shifts s and the k
-    points z_j after each inversion. z_j = -(c_(j-1) z + d_(j-1))/(c_j z + d_j),
-    so the z_j/i telescope to i^k/(c z + d) and the roots to
-    +-e(k/8)/sqrt(c z + d); each arg(z_j/i) is in (-pi/2, pi/2), so the sign
-    is the one nearest half their sum. x gets log2(Im w) + 8 more bits,
-    which e^(i pi x) loses to the rounding of Im x."""
-    (xm, xe), (ym, ye) = z.real.man_exp, z.imag.man_exp
-    e = min(xe, ye, 0)
-    X, Y, S = (-xm if z.real < 0 else xm) << (xe - e), ym << (ye - e), 1 << -e
+    D = S^2 |c z + d|^2, N = S^2 |a z + b|^2 and R = S^2 Re((a z + b)
+    conj(c z + d)) are integers and w = (R + iYS)/D, so every step is exact
+    and w is rounded once, away from zero. Only eta(z + 1) = e(1/24) eta(z)
+    and eta(-1/z) = sqrt(z/i) eta(z) enter: eta(z) = e(s/24) prod_j
+    sqrt(z_j/i) eta(w) for the shifts s and the k points z_j after each
+    inversion. z_j = -(c_(j-1) z + d_(j-1))/(c_j z + d_j), so the z_j/i
+    telescope to i^k/(c z + d) and the roots to +-e(k/8)/sqrt(c z + d); each
+    arg(z_j/i) is in (-pi/2, pi/2), so the sign is the one nearest half their
+    sum. x gets log2(Im w) + 8 more bits, which e^(i pi x) loses to the
+    rounding of Im x."""
     YS, N, R, D = Y * S, X * X + Y * Y, X * S, S * S
     a, b, c, d = 1, 0, 0, 1
     shifts = inversions = angle = 0
@@ -314,7 +317,7 @@ def _to_fundamental_domain(z):
         # the next point -1/gamma(z) is z_j, with z_j/i = (Y S + iR)/N
         angle, inversions = angle + _atan2(R, YS), inversions + 1
         a, b, c, d, N, R, D = -c, -d, a, b, D, -R, N
-    u, v = c * X + d * S, c * Y  # c z + d = (u + iv) 2^e
+    u, v = c * X + d * S, c * Y  # c z + d = (u + iv)/S
     offset = angle / 2 - pi * inversions / 4 + _atan2(v, u) / 2
     turns = round(offset / pi)
     assert abs(offset - turns * pi) < pi / 4, "square-root sign is not clear-cut"
@@ -322,7 +325,9 @@ def _to_fundamental_domain(z):
     w = mp.mpc(mp.fdiv(R, D, rounding="u"), mp.fdiv(YS, D, rounding="u"))
     with mp.workprec(mp.mp.prec + max(YS.bit_length() - D.bit_length(), 0) + 8):
         x = mp.mpc(mp.fdiv(R + phase * D, 12 * D), mp.fdiv(YS, 12 * D))
-    return w, x, _inverse_sqrt(u, v, e, mp.mp.prec + 2 * _ETA_GUARD_BITS)
+    # 1/sqrt((u + iv)/S) = S/sqrt(S (u + iv))
+    A, B, E = _inverse_sqrt(S * u, S * v, mp.mp.prec + 2 * _ETA_GUARD_BITS)
+    return w, x, (S * A, S * B, E)
 
 
 def _atan2(y: int, x: int) -> float:
@@ -330,40 +335,34 @@ def _atan2(y: int, x: int) -> float:
     return atan2(y / (m := max(abs(x), abs(y))), x / m)
 
 
-def _inverse_sqrt(u: int, v: int, e: int, bits: int) -> tuple:
+def _inverse_sqrt(u: int, v: int, bits: int) -> tuple:
     """(A, B, E), (A + iB) 2^E within 2^-bits of the principal
-    1/sqrt((u + iv) 2^e): with m = |U + iV| > 4^(bits + 4) for U + iV a scaled
-    u + iv, r = sqrt((m + U)/2) and s = +-sqrt((m - U)/2) give the root to
-    two units, and 1/(r + is) = (r - is)/(r^2 + s^2)."""
-    shift = max(2 * bits + 9 - max(abs(u), abs(v)).bit_length(), 0) // 2 * 2 + (e & 1)
-    U, V, e = u << shift, v << shift, e - shift
+    1/sqrt(u + iv): with m = |U + iV| > 4^(bits + 4) for U + iV = 4^k (u + iv),
+    r = sqrt((m + U)/2) and s = +-sqrt((m - U)/2) give the root to two units,
+    and 1/(r + is) = (r - is)/(r^2 + s^2)."""
+    k = max(2 * bits + 9 - max(abs(u), abs(v)).bit_length(), 0) // 2
+    U, V = u << 2 * k, v << 2 * k
     m = isqrt(U * U + V * V)
     r, s = isqrt((m + U) >> 1), isqrt((m - U) >> 1) * (-1 if V < 0 else 1)
     n = r * r + s * s
     T = n.bit_length() + 4
-    return (r << T) // n, (-s << T) // n, -T - e // 2
+    return (r << T) // n, (-s << T) // n, k - T
 
 
-# eta_numeric's product stops once its tail bound is below 2^-(prec + this)
+# eta's product stops once its tail bound is below 2^-(prec + this)
 _ETA_GUARD_BITS = 16
 
 
-def _eta_tail_bound(qabs, k):
-    """Bound on |prod_(j > k) (1 - q^j) - 1| for |q| = qabs <= 1/2: the
-    relative error of the q-product of eta stopped after k factors."""
-    return qabs ** (k + 1) / (1 - qabs) ** 2
-
-
-def _eta_factor_count(y, terms):
-    """Number of factors eta_numeric multiplies at Im(z) = y, capped at
-    `terms`: one more than the least K with _eta_tail_bound(|q|, K) below
+def _eta_factor_count(y):
+    """Number of factors _eta_exact multiplies at Im(w) = y: one more than
+    the least K whose tail bound |q|^(K+1)/(1 - |q|)^2 on
+    |prod_(j > K) (1 - q^j) - 1|, |q| = e^(-2 pi y) <= 1/2, is below
     2^-(prec+16) at the current precision. The spare factor absorbs the
     rounding of the float logarithms; every later factor rounds to 1."""
     y = float(y)
     bits = mp.mp.prec + _ETA_GUARD_BITS
-    # with |q| = e^(-2 pi y) the bound holds iff K + 1 > (bits log 2 - 2 log(1 - |q|)) / (2 pi y)
-    k = int((bits * log(2) - 2 * log1p(-exp(-2 * pi * y))) / (2 * pi * y)) + 1
-    return min(terms, k)
+    # the bound holds iff K + 1 > (bits log 2 - 2 log(1 - |q|)) / (2 pi y)
+    return int((bits * log(2) - 2 * log1p(-exp(-2 * pi * y))) / (2 * pi * y)) + 1
 
 
 def _fixed_mul(x, y, bits):
@@ -383,35 +382,44 @@ def _eta_product(qre, qim, count, bits):
     return re, im
 
 
-def eta_numeric(z, terms: int = 200):
-    """Dedekind eta at a point of the upper half-plane (mpmath complex).
+def _eta_exact(X: int, Y: int, S: int):
+    """Dedekind eta at the exact point z = (X + iY)/S, Y, S > 0, as an mpc.
 
-    The argument is moved into the fundamental domain by one SL2(Z) word (see
+    z is moved into the fundamental domain by one SL2(Z) word (see
     _to_fundamental_domain), so |q| <= e^(-pi sqrt(3)) and any height works.
     The q-product then stops as soon as the remaining factors cannot change
     the result at the working precision (at most about 24 factors at 50
-    digits); `terms` caps the number of factors.
+    digits).
 
     One exponential gives e^(i pi x); its 24th power is q = e(w). The
     product runs in integers with prec + 32 fractional bits, times the
     integer 1/sqrt(c z + d), and becomes an mpc once. Its at most 2 * count
     truncations each lose under one unit of 2^-(prec+32) per part, and
-    count < (prec + 16) / 7.8 + 2, so below 10^5 bits they stay under the
-    2^-(prec+16) per factor that the oracle's error estimate carries. q has
-    24 times the rounding of e^(i pi x), under 0.11 units of 2^-prec in the
-    product as |q| < 0.0044.
-    """
-    z = mp.mpc(z)
-    if z.imag <= 0:
-        raise ValueError("eta is defined on the upper half-plane")
-    w, x, (A, B, E) = _to_fundamental_domain(z)
+    count < (prec + 16) / 7.8 + 2, so below 10^5 bits they stay under
+    2^-(prec+16). q has 24 times the rounding of e^(i pi x), under 0.11
+    units of 2^-prec in the product as |q| < 0.0044. With the few units that
+    e^(i pi x), the conversion to mpc and the last product round, the value
+    is within 16 units of 2^-prec of the product run to its stop,
+    relatively, and that product within 2^-(prec+16) of eta(z)."""
+    w, x, (A, B, E) = _to_fundamental_domain(X, Y, S)
     bits, power = mp.mp.prec + 2 * _ETA_GUARD_BITS, mp.expjpi(x)
     p = int(mp.ldexp(power.real, bits)), int(mp.ldexp(power.imag, bits))
     q = _fixed_mul(p, _fixed_mul(p, p, bits), bits)
     for _ in range(3):
         q = _fixed_mul(q, q, bits)
-    re, im = _fixed_mul(_eta_product(*q, _eta_factor_count(w.imag, terms), bits), (A, B), 0)
+    re, im = _fixed_mul(_eta_product(*q, _eta_factor_count(w.imag), bits), (A, B), 0)
     return power * mp.mpc(mp.ldexp(mp.mpf(re), E - bits), mp.ldexp(mp.mpf(im), E - bits))
+
+
+def eta_numeric(z):
+    """Dedekind eta at a point of the upper half-plane (mpmath complex):
+    _eta_exact at z read exactly as (X + iY)/2^k."""
+    z = mp.mpc(z)
+    if z.imag <= 0:
+        raise ValueError("eta is defined on the upper half-plane")
+    (xm, xe), (ym, ye) = z.real.man_exp, z.imag.man_exp
+    e = min(xe, ye, 0)
+    return _eta_exact((-xm if z.real < 0 else xm) << (xe - e), ym << (ye - e), 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -420,78 +428,65 @@ class NumericLeadingCoeff:
     error_estimate: float
 
 
-def _oracle_prec(loss: int) -> int:
-    """Working precision of a point that loses `loss` bits: 50 digits, or
-    enough to keep the loss 16 bits below the value's 2^-52 rounding."""
-    return max(mp.libmp.dps_to_prec(50), loss + 68)
+# the oracle evaluates every eta value at 50 digits
+_ORACLE_PREC = mp.libmp.dps_to_prec(50)
 
 
-def _eta_at(delta: int, sigma: SigmaMatrix, height, terms: int) -> tuple:
-    """(eta(z), loss) at z = delta * sigma(i*height), within 2^(loss - prec)
-    of its exact value, relatively, at prec = _oracle_prec(loss).
-
-    Proof. z = delta ((a c H^2 + b d) + i H det)/(c^2 H^2 + d^2) is rounded
-    once per coordinate, |dz| <= 2^-prec |z|. With w = gamma(z) reduced,
-    d log eta/dz = pi i E2(w)/(12 (c z + d)^2) - c/(2 (c z + d)), |E2(w)| <
-    1.11, |c z + d|^2 = y/Im w for y = Im z, |c z + d| >= |c| y and
-    Im w <= max(y, 1/y); so dz moves log eta under 2^(1-prec) |z| (1/2 + 0.3
-    max(y, 1/y))/y. With eta_numeric's own 16 units of 2^-prec, both stay
-    under 2^-prec 16 |z| (1 + max(y, 1/y))/y <= 2^(loss - prec)."""
-    a, b, c, d = delta * sigma.a, delta * sigma.b, sigma.c, sigma.d
+def _oracle_point(delta: int, sigma: SigmaMatrix, height: int) -> tuple:
+    """(X, Y, S) in lowest terms with delta * sigma(i*height) = (X + iY)/S:
+    X = delta (a c H^2 + b d), Y = delta H det(sigma), S = c^2 H^2 + d^2."""
+    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
     hh = height * height
-    re, im, den = a * c * hh + b * d, height * (a * d - b * c), c * c * hh + d * d
-    bits = im.bit_length()
-    loss = max(abs(re), im).bit_length() - bits + abs(bits - den.bit_length()) + 8
-    with mp.workprec(_oracle_prec(loss)):
-        return eta_numeric(mp.mpc(mp.fdiv(re, den), mp.fdiv(im, den)), terms), loss
+    X, Y, S = delta * (a * c * hh + b * d), delta * height * sigma.det, c * c * hh + d * d
+    g = gcd(X, Y, S)
+    return X // g, Y // g, S // g
 
 
 def numeric_leading_coefficient(
-    h: EtaQuotient, sigma: SigmaMatrix, expansion: CuspExpansion, height=8, terms: int = 200, etas=None
+    h: EtaQuotient, sigma: SigmaMatrix, expansion: CuspExpansion, height=8, etas=None
 ) -> NumericLeadingCoeff:
     """Floating-point oracle: h(sigma . i*height) normalized by the
     `expansion.order`-th power of the uniformizer. Converges to the exact
-    leading coefficient as the height grows; the error estimate comes from
-    the next q-power of the expansion (`expansion.gap`), the truncation of
-    eta_numeric's product, the precision lost by each point (see _eta_at)
-    and by the normalization e^(2 pi height order) (under
-    log2(8 (1 + 2 pi height |order|)) bits), which runs with the product at
-    the largest precision any of them needs, and the rounding to a `complex`.
+    leading coefficient as the height grows.
+
+    Each eta factor is _eta_exact at the exact point delta * sigma(i*height)
+    (_oracle_point), at prec = 169 bits (50 digits). The point is never
+    rounded, so the value is within 2^(4-prec) + 2^-(prec+16) < 2^(8-prec)
+    of eta there, relatively: _eta_exact's own 16 units of 2^-prec and the
+    stop of its product. The error estimate carries |r| 2^(8-prec) for each
+    factor eta^r, the next q-power of the expansion (`expansion.gap`), the
+    precision lost by the normalization e^(2 pi height order) (under
+    log2(8 (1 + 2 pi height |order|)) bits), which runs with the product 68
+    bits finer than that loss when 50 digits do not cover it, and the
+    rounding to a `complex`.
 
     Callers evaluating several quotients at one cusp pass one dict `etas`,
-    filled with (eta(delta * sigma(i*height)), loss) keyed by (delta, sigma,
-    height, terms), so that each point is evaluated once."""
+    filled with the eta values keyed by the reduced point, so that each
+    point is evaluated once, also where proportional matrices meet."""
     if not isinstance(height, int) or height < 4:
         raise ValueError("height must be an integer of at least 4")
-    if terms < 50:
-        raise ValueError("terms must be at least 50")
     etas = {} if etas is None else etas
-    order, gap = expansion.order, expansion.gap
     factors = []
     for delta, r in h.exponents:
-        key = (delta, sigma, height, terms)
-        if key not in etas:
-            etas[key] = _eta_at(delta, sigma, height, terms)
-        factors.append((r, *etas[key]))
+        point = _oracle_point(delta, sigma, height)
+        if point not in etas:
+            with mp.workprec(_ORACLE_PREC):
+                etas[point] = _eta_exact(*point)
+        factors.append((r, etas[point]))
+    order = expansion.order
     norm_loss = (7 * height * abs(order.numerator) // order.denominator + 1).bit_length() + 3
-    with mp.workprec(_oracle_prec(max(norm_loss, *(loss for *_, loss in factors)))):
+    with mp.workprec(max(_ORACLE_PREC, norm_loss + 68)):
         value = mp.mpc(1)
-        for r, eta, _ in factors:
+        for r, eta in factors:
             value *= eta**r
         # the uniformizer at i*height is the real number e^(-2 pi height)
         value *= mp.exp(mp.fdiv(2 * height * order.numerator, order.denominator) * mp.pi)
         loss = 2.0 ** (norm_loss - mp.mp.prec)
-        loss += sum(abs(r) * 2.0 ** (lost - _oracle_prec(lost)) for r, _, lost in factors)
         value = complex(value)
-    # each product stops where its tail bound is below 2^-(prec+16), at 50
-    # digits or finer, or at `terms` factors; after reduction |q| <=
-    # e^(-pi sqrt(3)), where the tail bound after `terms` factors is largest
-    qmax = exp(-pi * sqrt(3))
-    per_factor = max(2.0 ** -(_oracle_prec(0) + _ETA_GUARD_BITS), _eta_tail_bound(qmax, terms))
-    truncation = sum(abs(r) for _, r in h.exponents) * per_factor
-    next_term = exp(-2 * pi * height * gap)
+    loss += sum(abs(r) for r, _ in factors) * 2.0 ** (8 - _ORACLE_PREC)
+    next_term = exp(-2 * pi * height * expansion.gap)
     # complex() rounds each part of the value to 53 bits
-    estimate = abs(value) * (next_term + truncation + 2.0**-52 + loss) + 1e-40
+    estimate = abs(value) * (next_term + 2.0**-52 + loss) + 1e-40
     return NumericLeadingCoeff(value=value, error_estimate=estimate)
 
 

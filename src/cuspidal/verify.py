@@ -191,7 +191,7 @@ def check_leading_coefficient_tables() -> CheckResult:
                             False,
                             f"symbolic mismatch at (p, n, gen, m) = ({p}, {n}, {gen_index}, {m})",
                         )
-                    numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, terms=200, etas=etas)
+                    numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, etas=etas)
                     if not agrees_with_oracle(expansion.leading.as_complex(), numeric.value):
                         return CheckResult(
                             "leading-coefficient-tables",

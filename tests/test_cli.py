@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import mpmath as mp
+
 from cuspidal import transform
 from cuspidal.verify import ling_structure
 from cuspidal.cli import _decimal, main
@@ -509,23 +511,50 @@ def test_main_repeated_calls_match_fresh_processes(capsys):
     assert [run_cli(capsys, *argv)[0] for argv in commands] == [0, 0, 2, 2, 0, 0]
 
 
-def test_each_eta_point_is_evaluated_once_per_command(capsys, monkeypatch):
-    eta_numeric = transform.eta_numeric
+def counted_eta_points(monkeypatch):
+    """The list that records the point and working precision of every eta
+    value the oracle computes."""
+    eta_exact = transform._eta_exact
     calls = []
 
-    def counted(z, terms=200):
-        calls.append(z)
-        return eta_numeric(z, terms)
+    def counted(X, Y, S):
+        calls.append(((X, Y, S), mp.mp.prec))
+        return eta_exact(X, Y, S)
 
-    monkeypatch.setattr(transform, "eta_numeric", counted)
-    # 11 cusps times the 11 divisors of 5^10; 3 pairs times 4 cusps times 4 divisors of pq
-    for argv, points in ((["leading-coeffs", "--p", "5", "--n", "10"], 121), (["verify", "--suite", "pq"], 48)):
+    monkeypatch.setattr(transform, "_eta_exact", counted)
+    return calls
+
+
+def test_each_eta_point_is_evaluated_once_per_command(capsys, monkeypatch):
+    calls = counted_eta_points(monkeypatch)
+    # 11 cusps times the 11 divisors of 5^10; 3 pairs times 4 cusps times 4
+    # divisors of pq; 88 (p, n, sigma, delta) in the leading-coefficient
+    # suite, where 12 points of n = 3 are points of n = 2
+    for argv, points in (
+        (["leading-coeffs", "--p", "5", "--n", "10"], 121),
+        (["verify", "--suite", "pq"], 48),
+        (["verify", "--suite", "leading-coeffs"], 76),
+    ):
         # the second run evaluates every point again: nothing outlives a command
         for _ in range(2):
             calls.clear()
             assert main(argv + ["--json"]) == 0
             capsys.readouterr()
-            assert len(calls) == points, argv
+            assert len(calls) == len({point for point, _ in calls}) == points, argv
+    # p delta * sigma_1(z) at n = 3 is delta * sigma_0(z) at n = 2
+    for p in (5, 13, 23, 47):
+        for delta in (1, p, p * p):
+            shared = transform._oracle_point(delta, transform.sigma_matrix(p, 2, 0), 8)
+            assert transform._oracle_point(p * delta, transform.sigma_matrix(p, 3, 1), 8) == shared
+
+
+def test_every_oracle_eta_value_runs_at_50_digits(capsys, monkeypatch):
+    # the points come from exact integers, so no point needs a finer precision
+    calls = counted_eta_points(monkeypatch)
+    assert main(["leading-coeffs", "--p", "5", "--n", "40", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 41 * 41
+    assert {prec for _, prec in calls} == {169}
 
 
 def fresh_modules(*argv):

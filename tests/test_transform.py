@@ -13,10 +13,11 @@ from cuspidal.transform import (
     CuspExpansion,
     LeadingCoeff,
     SigmaMatrix,
+    _eta_exact,
     _eta_factor_count,
     _eta_product,
-    _eta_tail_bound,
     _inverse_sqrt,
+    _oracle_point,
     _to_fundamental_domain,
     _upper_triangularize,
     _valuation,
@@ -235,9 +236,28 @@ def test_eta_numeric_value_at_i():
         assert abs(value - 0.7682254) < 1e-6
 
 
+def _eta_tail_bound(qabs, k):
+    """Bound on |prod_(j > k) (1 - q^j) - 1| for |q| = qabs <= 1/2: the
+    relative error of the q-product of eta stopped after k factors."""
+    return qabs ** (k + 1) / (1 - qabs) ** 2
+
+
+def exact(x):
+    """The mpf x as a Fraction, from its unsigned mantissa and exponent."""
+    man, exp = x.man_exp
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def integers(z):
+    """(X, Y, S) with the mpc z = (X + iY)/S exactly."""
+    x, y = exact(mp.re(z)), exact(mp.im(z))
+    S = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return int(x * S), int(y * S), S
+
+
 def _full_product_eta(z):
     """Reference: the 200-factor q-product after the same reduction."""
-    w, x, (A, B, E) = _to_fundamental_domain(mp.mpc(z))
+    w, x, (A, B, E) = _to_fundamental_domain(*integers(z))
     q = mp.e ** (2j * mp.pi * w)
     product = mp.mpc(1)
     for k in range(1, 201):
@@ -261,25 +281,13 @@ def test_eta_numeric_stops_at_working_precision(dps):
             reference = _full_product_eta(z)
         with mp.workdps(dps):
             value = eta_numeric(z)
-            w, _, _ = _to_fundamental_domain(mp.mpc(z))
-            k = _eta_factor_count(mp.im(w), 200)
+            w, _, _ = _to_fundamental_domain(*integers(z))
+            k = _eta_factor_count(mp.im(w))
             assert k <= 25
             qabs = mp.e ** (-2 * mp.pi * mp.im(w))
             assert _eta_tail_bound(qabs, k) < mp.mpf(2) ** -(mp.mp.prec + 16)
         # 1e-45 at 50 digits; 40-digit arithmetic itself only reaches ~1e-40
         assert abs(value - reference) / abs(reference) < mp.mpf(10) ** -(dps - 5), (dps, z)
-
-
-def test_eta_numeric_terms_caps_the_product():
-    with mp.workdps(50):
-        for z in _stopping_rule_points():
-            full = eta_numeric(z)
-            w, _, _ = _to_fundamental_domain(mp.mpc(z))
-            qabs = mp.e ** (-2 * mp.pi * mp.im(w))
-            for cap in (1, 2, 3):
-                capped = eta_numeric(z, terms=cap)
-                change = abs(capped - full) / abs(full)
-                assert 0 < change <= _eta_tail_bound(qabs, cap), (z, cap)
 
 
 def mpc_to_fundamental_domain(z):
@@ -306,17 +314,11 @@ def mpc_eta_product(q, count):
     return product
 
 
-def mpc_eta_numeric(z, terms=200):
+def mpc_eta_numeric(z):
     """Reference eta_numeric: mpc reduction, e^x exponentials and the mpc loop."""
     factor, z = mpc_to_fundamental_domain(mp.mpc(z))
-    product = mpc_eta_product(mp.e ** (2j * mp.pi * z), _eta_factor_count(mp.im(z), terms))
+    product = mpc_eta_product(mp.e ** (2j * mp.pi * z), _eta_factor_count(mp.im(z)))
     return factor * mp.e ** (mp.pi * 1j * z / 12) * product
-
-
-def exact(x):
-    """The mpf x as a Fraction, from its unsigned mantissa and exponent."""
-    man, exp = x.man_exp
-    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("dps", [15, 40, 50, 100])
@@ -333,8 +335,8 @@ def test_eta_numeric_matches_the_mpc_reference(dps):
             prec = mp.mp.prec
             z = mp.mpc(z)
             value = eta_numeric(z)
-            w, _, _ = _to_fundamental_domain(z)
-            q, count, bits = mp.expjpi(2 * w), _eta_factor_count(mp.im(w), 200), prec + 32
+            w, _, _ = _to_fundamental_domain(*integers(z))
+            q, count, bits = mp.expjpi(2 * w), _eta_factor_count(mp.im(w)), prec + 32
             re, im = _eta_product(int(mp.ldexp(q.real, bits)), int(mp.ldexp(q.imag, bits)), count, bits)
         # w is rounded once, yet lies exactly in the closed fundamental domain
         assert abs(2 * exact(w.real)) <= 1 and exact(w.real) ** 2 + exact(w.imag) ** 2 >= 1, (dps, z)
@@ -351,21 +353,54 @@ def test_eta_numeric_matches_the_mpc_reference(dps):
             assert abs(value - expected) <= mp.ldexp(abs(expected), -(prec - 4)), (dps, z)
 
 
+def test_eta_exact_matches_the_mpc_reference_at_rational_points():
+    # the oracle's points delta * sigma(8i), whose denominators are not powers
+    # of two, and random rationals; the reference runs at the point rounded
+    # 256 bits finer, which covers the digits the point's rounding costs it
+    points = [_oracle_point(delta, sigma_matrix(5, n, m), 8)
+              for n in range(1, 8) for m in range(n + 1) for delta in (5**k for k in range(n + 1))]
+    points += [_oracle_point(delta, pq_sigma_matrix(13, 37, level), 8)
+               for level in (1, 13, 37, 481) for delta in (1, 13, 37, 481)]
+    rng = random.Random(5)
+    points += [(rng.randint(-10**12, 10**12), rng.randint(1, 10**6), rng.randint(1, 10**9)) for _ in range(50)]
+    for X, Y, S in points:
+        with mp.workdps(50):
+            prec = mp.mp.prec
+            value = _eta_exact(X, Y, S)
+        with mp.workprec(prec + 256):
+            expected = mpc_eta_numeric(mp.mpc(mp.fdiv(X, S), mp.fdiv(Y, S)))
+            # 16 units of 2^-prec and the stop of the product
+            assert abs(value - expected) <= mp.ldexp(abs(expected), 4 - prec) * (1 + mp.ldexp(1, -20)), (X, Y, S)
+
+
+def test_pq_table_factors_each_cofactor_once(monkeypatch):
+    # det(sigma) has a prime outside {p, q} at the cusps 1, p and q: one
+    # factorization per cusp, shared by the three generators
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(transform, "factorize", counted)
+    pq_leading_coefficients(13, 37)
+    assert sorted(calls) == [443, 519, 961]
+
+
 def test_inverse_sqrt_is_the_principal_branch():
     rng = random.Random(2718)
     # both half-planes, both axes (the negative real axis takes +i sqrt|u|),
-    # odd and even exponents and sizes far from the target precision
-    cases = [(u, v, e) for u, v in ((5, 0), (-5, 0), (0, 3), (0, -3), (-7, 1), (-7, -1)) for e in (0, 1, -3)]
-    cases += [(rng.randint(-2**k, 2**k), rng.randint(-2**k, 2**k), rng.randint(-400, 400))
-              for k in (1, 40, 300) for _ in range(50)]
-    for u, v, e in cases:
+    # and sizes far from the target precision on both sides
+    cases = [(k * u, k * v) for u, v in ((5, 0), (-5, 0), (0, 3), (0, -3), (-7, 1), (-7, -1)) for k in (1, 2, 8)]
+    cases += [(rng.randint(-2**k, 2**k), rng.randint(-2**k, 2**k)) for k in (1, 40, 300, 700) for _ in range(50)]
+    for u, v in cases:
         if u == v == 0:
             continue
-        A, B, E = _inverse_sqrt(u, v, e, 100)
-        with mp.workprec(200):
-            expected = 1 / mp.sqrt(mp.mpc(mp.ldexp(u, e), mp.ldexp(v, e)))
+        A, B, E = _inverse_sqrt(u, v, 100)
+        with mp.workprec(800):
+            expected = 1 / mp.sqrt(mp.mpc(u, v))
             value = mp.mpc(mp.ldexp(A, E), mp.ldexp(B, E))
-            assert abs(value - expected) <= mp.ldexp(abs(expected), -100), (u, v, e)
+            assert abs(value - expected) <= mp.ldexp(abs(expected), -100), (u, v)
 
 
 def test_sigma_matrix_examples():
@@ -457,7 +492,7 @@ def test_leading_coefficients_numeric_certification():
                 for m in range(n + 1):
                     sigma = sigma_matrix(p, n, m)
                     exp = cusp_expansion(h, sigma)
-                    numeric = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200)
+                    numeric = numeric_leading_coefficient(h, sigma, exp, height=8)
                     assert agrees_with_oracle(exp.leading.as_complex(), numeric.value), (p, n, h, m)
                     assert numeric.error_estimate < 1e-8
 
@@ -544,8 +579,8 @@ def test_shared_eta_values_equal_fresh_ones():
         height = suggested_height(exp)
         shared = numeric_leading_coefficient(h, sigma, exp, height=height, etas=etas)
         assert shared == numeric_leading_coefficient(h, sigma, exp, height=height), (h, sigma)
-    # one eta value per (delta, sigma, height), whichever quotient asked first
-    assert set(etas) == {(delta, sigma, suggested_height(cusp_expansion(h, sigma)), 200)
+    # one eta value per point delta * sigma(i*height), whichever quotient asked first
+    assert set(etas) == {_oracle_point(delta, sigma, suggested_height(cusp_expansion(h, sigma)))
                          for h, sigma in cases for delta, _ in h.exponents}
 
 
@@ -553,18 +588,17 @@ def test_numeric_oracle_reports_error_estimate():
     h = EtaQuotient.make(25, {5: 6, 1: -6})
     sigma = sigma_matrix(5, 2, 1)
     exp = cusp_expansion(h, sigma)
-    result = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200)
+    result = numeric_leading_coefficient(h, sigma, exp, height=8)
     assert result.error_estimate < 1e-8
-    coarse = numeric_leading_coefficient(h, sigma, exp, height=4, terms=50)
+    coarse = numeric_leading_coefficient(h, sigma, exp, height=4)
     assert coarse.error_estimate > result.error_estimate
     # the estimate covers the truncation of each eta factor at the number of
-    # factors eta_numeric actually multiplied
+    # factors the oracle actually multiplied
     with mp.workdps(50):
-        w = (sigma.a * 8j + sigma.b) / (sigma.c * 8j + sigma.d)
         truncation = mp.mpf(0)
         for delta, r in h.exponents:
-            z, _, _ = _to_fundamental_domain(mp.mpc(delta * w))
-            k = _eta_factor_count(mp.im(z), 200)
+            z, _, _ = _to_fundamental_domain(*_oracle_point(delta, sigma, 8))
+            k = _eta_factor_count(mp.im(z))
             truncation += abs(r) * _eta_tail_bound(mp.e ** (-2 * mp.pi * mp.im(z)), k)
     assert result.error_estimate >= abs(result.value) * truncation
 
@@ -609,7 +643,7 @@ def test_oracle_gate_is_relative():
     sigma = sigma_matrix(23, 1, 0)
     exp = cusp_expansion(h, sigma)
     assert exp.leading == LeadingCoeff.make(0, {23: -12})
-    numeric = numeric_leading_coefficient(h, sigma, exp, height=8, terms=200).value
+    numeric = numeric_leading_coefficient(h, sigma, exp, height=8).value
     assert agrees_with_oracle(exp.leading.as_complex(), numeric)
     wrong = LeadingCoeff.make(0, {23: -14}).as_complex()
     assert abs(wrong - numeric) < 1e-8  # the absolute gate alone accepts it
@@ -629,8 +663,6 @@ def test_numeric_oracle_preconditions():
         numeric_leading_coefficient(h, sigma, exp, height=2)
     with pytest.raises(ValueError):
         numeric_leading_coefficient(h, sigma, exp, height=8.5)
-    with pytest.raises(ValueError):
-        numeric_leading_coefficient(h, sigma, exp, terms=10)
 
 
 def test_sigma_matrix_rejects_nonpositive_determinant():
