@@ -2,7 +2,7 @@
 eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities (`verify.determinant_claims`) certify the prime-power case."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .curve import CuspDivisor, Level, cusp_degrees, level
@@ -17,25 +17,20 @@ from .eta import (
 from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis, is_prime
 
 
-@dataclass(frozen=True)
-class ClassGroupResult:
+class ClassGroupResult(namedtuple("ClassGroupResult", "N group generator_divisors certified")):
     """Structure of C(N), the generators used for the unit lattice, and
     whether that lattice provably equals the full group of principal cuspidal
     divisors (true for N = p^n with p >= 5 and N = pq with p == q == 1 mod 12;
     otherwise the reported group is only an upper-bound quotient)."""
 
-    N: int
-    group: AbelianGroup
-    generator_divisors: tuple
-    certified: bool
+    __slots__ = ()
 
     @property
     def order(self) -> int:
         return self.group.order
 
 
-@dataclass(frozen=True)
-class OrderMatrices:
+class OrderMatrices(namedtuple("OrderMatrices", "p n m24 u v")):
     """The three square matrices of dimension n+1 attached to X0(p^n).
 
     `m24` is 24 times the matrix of cusp orders (rows: eta(p^i tau), columns:
@@ -44,11 +39,7 @@ class OrderMatrices:
     and its last row is all ones.
     """
 
-    p: int
-    n: int
-    m24: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = ()
 
 
 def _require_odd_prime_scope(p):

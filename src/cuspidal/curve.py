@@ -8,7 +8,7 @@ multiplicity.
 """
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, prod
 from types import MappingProxyType
 
@@ -20,17 +20,10 @@ from .linalg import factorize
 MAX_CUSP_LEVELS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Cusp:
-    N: int
-    level: int
-    conductor: int
-    degree: int
-    width: int
+Cusp = namedtuple("Cusp", "N level conductor degree width")
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level", "N factors primes degrees valuations")):
     """The level N of X0(N) and what its cusps read from the factorization
     of N: `factors` ((p, a), ...) and `primes` in increasing order,
     `degrees`, the read-only map d -> phi(gcd(d, N/d)) from the divisors d
@@ -38,11 +31,15 @@ class Level:
     `valuations`, for each prime p the exponents v_p(d) in that order.
     Equality and hash go by N and its factors."""
 
-    N: int
-    factors: tuple
-    primes: tuple = field(compare=False)
-    degrees: MappingProxyType = field(compare=False)
-    valuations: tuple = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Level) and self[:2] == other[:2]
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field-wise test
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @classmethod
     def of(cls, factors: dict) -> "Level":
@@ -91,16 +88,14 @@ def cusps(N: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class CuspDivisor:
+class CuspDivisor(namedtuple("CuspDivisor", "N coefficients")):
     """A divisor supported on the cusps of X0(N), as a map level -> coefficient.
 
     Coefficients are integers; elements of the cuspidal divisor group proper
     have degree zero.
     """
 
-    N: int
-    coefficients: tuple
+    __slots__ = ()
 
     @classmethod
     def make(cls, N, coeffs) -> "CuspDivisor":

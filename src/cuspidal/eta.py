@@ -2,7 +2,7 @@
 and the explicit generator families for prime-power and pq levels."""
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -14,16 +14,14 @@ from .linalg import is_prime
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(namedtuple("EtaQuotient", "N exponents")):
     """A finite product of eta factors eta(delta*tau)^r over divisors delta of N.
 
     Exponents are stored sparsely; product and integer powers act on the
     exponent vectors.
     """
 
-    N: int
-    exponents: tuple
+    __slots__ = ()
 
     @classmethod
     def make(cls, N, exponents) -> "EtaQuotient":
@@ -33,9 +31,11 @@ class EtaQuotient:
         for delta, r in sorted(dict(exponents).items()):
             if not (delta >= 1 and N % delta == 0):
                 raise InputError(f"{delta} is not a divisor of {N}")
-            r = int(r)
-            if r:
-                items.append((delta, r))
+            k = int(r)
+            if k != r:
+                raise InputError(f"exponent {r} of eta({delta}) is not an integer")
+            if k:
+                items.append((delta, k))
         return cls(N, tuple(items))
 
     @classmethod
@@ -68,6 +68,8 @@ class EtaQuotient:
         return EtaQuotient.make(self.N, merged)
 
     def __pow__(self, k: int):
+        if int(k) != k:
+            raise InputError(f"power {k} is not an integer")
         return EtaQuotient.make(self.N, {d: r * k for d, r in self.exponents})
 
     def __str__(self):
@@ -78,14 +80,12 @@ class EtaQuotient:
         )
 
 
-@dataclass(frozen=True)
-class LigozatReport:
-    """Outcome of the four Ligozat conditions for modularity on X0(N)."""
+class LigozatReport(namedtuple("LigozatReport", "weight_zero square_product sum_delta_mod_24 sum_complement_mod_24")):
+    """Outcome of the four Ligozat conditions for modularity on X0(N): the
+    exponents sum to zero, prod delta^r(delta) is a rational square, and
+    sum r(delta)*delta and sum r(delta)*(N/delta) are 0 mod 24."""
 
-    weight_zero: bool  # sum of exponents vanishes
-    square_product: bool  # prod delta^r(delta) is a rational square
-    sum_delta_mod_24: bool  # sum r(delta)*delta == 0 mod 24
-    sum_complement_mod_24: bool  # sum r(delta)*(N/delta) == 0 mod 24
+    __slots__ = ()
 
     @classmethod
     def of(cls, residues) -> "LigozatReport":

@@ -9,7 +9,7 @@ kernel is the obstruction to injectivity of the connecting map on the
 cuspidal divisor class group.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .classgroup import class_group_pq, divisor_lattice_coordinates
@@ -19,8 +19,9 @@ from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime
 from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(
+    namedtuple("TorsionResult", "conditional kernel mu_part group up_to_2_torsion note", defaults=(None, None, ""))
+):
     """Torsion of the generalized Jacobian assembled from the cuspidal data.
 
     `group` is the resolved structure when the connecting-map kernel is
@@ -29,12 +30,7 @@ class TorsionResult:
     reported (`group` is None, `up_to_2_torsion` carries the cyclic group).
     """
 
-    conditional: bool
-    kernel: AbelianGroup
-    mu_part: AbelianGroup
-    group: AbelianGroup = None
-    up_to_2_torsion: AbelianGroup = None
-    note: str = ""
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -5,29 +5,29 @@ Everything here is exact; no floating point is used anywhere in this module.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, ScopeError
 
 
-@dataclass(frozen=True)
-class QmodZ:
+class QmodZ(namedtuple("QmodZ", "value")):
     """A rational number reduced modulo 1 into [0, 1).
 
     Used throughout as the exponent of a root of unity e^(2*pi*i*value).
     """
 
-    value: Fraction
+    __slots__ = ()
+
+    def __new__(cls, value):
+        if not (0 <= value < 1):
+            raise ValueError(f"QmodZ value {value} not reduced into [0,1)")
+        return super().__new__(cls, value)
 
     @classmethod
     def of(cls, numerator, denominator=1):
         return cls(Fraction(numerator, denominator) % 1)
-
-    def __post_init__(self):
-        if not (0 <= self.value < 1):
-            raise ValueError(f"QmodZ value {self.value} not reduced into [0,1)")
 
     def __bool__(self):
         return self.value != 0
@@ -116,13 +116,10 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "d p q")):
     """P * A * Q = D with P, Q unimodular and D diagonal with d1 | d2 | ..."""
 
-    d: IntMatrix
-    p: IntMatrix
-    q: IntMatrix
+    __slots__ = ()
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -305,24 +302,26 @@ def _gcd_steps(m, p, q, t, rows, modulus=None):
             live = [row for row in live if row[t]]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
     """Finite abelian group given by its invariant factors d1 | d2 | ... (each > 1).
 
     The trivial group is the empty factor list.
     """
 
-    invariant_factors: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        factors = tuple(int(f) for f in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __new__(cls, invariant_factors=()):
+        given = tuple(invariant_factors)
+        factors = tuple(int(f) for f in given)
+        if factors != given:
+            raise ValueError(f"invariant factors {given} are not integers")
         for f in factors:
             if f <= 1:
                 raise ValueError(f"invariant factor {f} must exceed 1")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} violate the divisibility chain")
+        return super().__new__(cls, factors)
 
     @classmethod
     def trivial(cls):

@@ -13,7 +13,7 @@ definition of eta (plus argument reduction to the fundamental domain) and is
 used to certify the exact values.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, prod
 
@@ -25,13 +25,11 @@ from .eta import EtaQuotient
 from .linalg import QmodZ, _egcd, factorize
 
 
-@dataclass(frozen=True)
-class LeadingCoeff:
+class LeadingCoeff(namedtuple("LeadingCoeff", "phase half_exponents")):
     """An exact algebraic number zeta * prod p^(v_p / 2): a root of unity
     recorded as a phase in Q/Z together with half-integer prime exponents."""
 
-    phase: QmodZ
-    half_exponents: tuple
+    __slots__ = ()
 
     @classmethod
     def make(cls, phase, half_exponents=()) -> "LeadingCoeff":
@@ -76,20 +74,18 @@ class LeadingCoeff:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
+class SigmaMatrix(namedtuple("SigmaMatrix", "a b c d")):
     """Integer 2x2 matrix of positive determinant mapping infinity to a
     chosen cusp representative; the local uniformizer it induces is
     q = e^(2*pi*i*tau) pulled back along the matrix."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a, b, c, d):
+        self = super().__new__(cls, a, b, c, d)
         if self.det <= 0:
             raise ValueError("sigma matrix must have positive determinant")
+        return self
 
     @property
     def det(self) -> int:
@@ -191,15 +187,12 @@ def _upper_triangularize(m11, m12, m21, m22):
     return gamma, a, b, c
 
 
-@dataclass(frozen=True)
-class CuspExpansion:
+class CuspExpansion(namedtuple("CuspExpansion", "leading order gap")):
     """Leading data of an eta quotient along a cusp uniformizer: the exact
     leading coefficient, the q-order, and the minimal exponent step of the
     expansion (which controls numeric convergence)."""
 
-    leading: LeadingCoeff
-    order: Fraction
-    gap: Fraction
+    __slots__ = ()
 
 
 def _eta_factor(delta: int, sigma: SigmaMatrix, primes) -> tuple:
@@ -422,10 +415,7 @@ def eta_numeric(z):
     return _eta_exact((-xm if z.real < 0 else xm) << (xe - e), ym << (ye - e), 1 << -e)
 
 
-@dataclass(frozen=True)
-class NumericLeadingCoeff:
-    value: complex
-    error_estimate: float
+NumericLeadingCoeff = namedtuple("NumericLeadingCoeff", "value error_estimate")
 
 
 # the oracle evaluates every eta value at 50 digits

@@ -9,7 +9,7 @@ pytest.
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -35,11 +35,7 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "criterion passed detail")
 
 
 def _primes(lo, hi):

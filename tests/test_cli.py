@@ -558,9 +558,9 @@ def test_every_oracle_eta_value_runs_at_50_digits(capsys, monkeypatch):
 
 
 def fresh_modules(*argv):
-    """The `cuspidal` and mpmath modules that one command (or, with no
-    arguments, `import cuspidal`) loads in a fresh interpreter, which must
-    exit 0."""
+    """The `cuspidal`, mpmath, `dataclasses` and `inspect` modules that one
+    command (or, with no arguments, `import cuspidal`) loads in a fresh
+    interpreter, which must exit 0."""
     import os
     import subprocess
     import sys
@@ -575,7 +575,8 @@ def fresh_modules(*argv):
         "    from cuspidal.cli import main\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.partition('.')[0] in ('cuspidal', 'mpmath'))]))\n"
+        "top = ('cuspidal', 'mpmath', 'dataclasses', 'inspect')\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.partition('.')[0] in top)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
     done = subprocess.run(
@@ -611,7 +612,8 @@ def test_divisor_level_commands_leave_the_oracle_unloaded():
 
 def test_every_subcommand_runs_from_a_fresh_process():
     """Each handler imports what it calls: in a fresh interpreter nothing
-    else has loaded its modules."""
+    else has loaded its modules. No command loads `dataclasses` or the
+    `inspect` it pulls in."""
     from cuspidal.cli import build_parser
 
     commands = {
@@ -629,4 +631,6 @@ def test_every_subcommand_runs_from_a_fresh_process():
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(commands) == set(subparsers.choices)
     for name, args in commands.items():
-        assert "cuspidal.cli" in fresh_modules(name, *args), name
+        modules = fresh_modules(name, *args)
+        assert "cuspidal.cli" in modules, name
+        assert not modules & {"dataclasses", "inspect"}, (name, sorted(modules))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -115,7 +114,7 @@ def test_cusp_degrees_table():
     assert level(12) is lvl
     with pytest.raises(TypeError):
         lvl.degrees[1] = 5
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         lvl.N = 5
     for N in (0, -12):
         with pytest.raises(InputError):

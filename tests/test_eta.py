@@ -5,7 +5,7 @@ from math import gcd, prod
 import pytest
 
 from cuspidal.curve import CuspDivisor
-from cuspidal.errors import NotModularError, ScopeError
+from cuspidal.errors import InputError, NotModularError, ScopeError
 from cuspidal.eta import (
     EtaQuotient,
     check_modular_function,
@@ -298,3 +298,24 @@ def test_product_and_power_arithmetic():
     assert dict((f * g).exponents)[1] == -7
     assert dict((f**2).exponents)[5] == 12
     assert f ** (-1) * f == EtaQuotient.one(25)
+
+
+def test_make_refuses_float_exponents():
+    with pytest.raises(InputError, match="exponent 1.5 of eta\\(1\\) is not an integer"):
+        EtaQuotient.make(4, {1: 1.5, 2: -1.5})
+    h = EtaQuotient.make(4, {1: 2.0, 2: -2.0})
+    assert h.exponents == ((1, 2), (2, -2)) and all(type(r) is int for _, r in h.exponents)
+
+
+def test_make_refuses_fraction_exponents():
+    with pytest.raises(InputError, match="not an integer"):
+        EtaQuotient.make(4, {1: Fraction(3, 2), 2: Fraction(-3, 2)})
+    assert EtaQuotient.make(4, {1: Fraction(4, 2), 2: Fraction(-2)}) == EtaQuotient.make(4, {1: 2, 2: -2})
+
+
+def test_power_refuses_a_non_integral_exponent():
+    h = EtaQuotient.make(4, {1: 2, 2: -2})
+    for k in (1.5, Fraction(3, 2), 0.5):
+        with pytest.raises(InputError, match="not an integer"):
+            h**k
+    assert h**2.0 == h**2 == EtaQuotient.make(4, {1: 4, 2: -4})

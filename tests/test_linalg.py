@@ -379,6 +379,14 @@ def test_abelian_group_validation():
         AbelianGroup((4, 6))
 
 
+def test_abelian_group_refuses_non_integral_factors():
+    for factors in ((2.5,), (2, Fraction(9, 2))):
+        with pytest.raises(ValueError, match="not integers"):
+            AbelianGroup(factors)
+    group = AbelianGroup((2.0, Fraction(4)))
+    assert group == AbelianGroup((2, 4)) and all(type(f) is int for f in group.invariant_factors)
+
+
 def test_qmodz():
     assert QmodZ.of(3, 8).value == Fraction(3, 8)
     assert QmodZ.of(35, 8).value == Fraction(3, 8)
