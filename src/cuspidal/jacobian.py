@@ -175,9 +175,6 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
     lc_rows = []
     for name in ("f1", "f2", "f3"):
         lcs = {level: expansion.leading for level, expansion in table[name].items()}
-        for lc in lcs.values():
-            foreign = [ell for ell, _ in lc.half_exponents if ell not in primes]
-            assert not foreign, f"unexpected primes {foreign} in a pq leading coefficient"
         row = []
         for level in levels:
             for ell in primes:

@@ -15,14 +15,14 @@ used to certify the exact values.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi, prod
+from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi
 
 import mpmath as mp
 
-from .curve import Level, level
+from .curve import level
 from .errors import ScopeError
 from .eta import EtaQuotient
-from .linalg import QmodZ, _egcd, factorize
+from .linalg import QmodZ, _egcd
 
 
 class LeadingCoeff(namedtuple("LeadingCoeff", "phase half_exponents")):
@@ -195,13 +195,19 @@ class CuspExpansion(namedtuple("CuspExpansion", "leading order gap")):
     __slots__ = ()
 
 
-def _eta_factor(delta: int, sigma: SigmaMatrix, primes) -> tuple:
+def _eta_factor(delta: int, sigma: SigmaMatrix, primes, cofactor: int = 1) -> tuple:
     """(gamma, a, b, c, valuations) for the factor eta(delta * sigma z) =
     eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w), m from
     Weber's formula, w = (a z + b)/c, no square root if c_gamma = 0, and
     eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...). `valuations` are the
-    exponents of `primes` in c, which must have no other prime factor, for
-    a factor with a square root, and None for one without."""
+    exponents of `primes` in c, for a factor with a square root, and None
+    for one without; c's part prime to `primes` must be `cofactor`.
+
+    Proof that only the primes of N count: c = delta det(sigma) / gcd(delta
+    sigma.a, sigma.c) and delta | N, so for every delta c's part prime to N
+    is the part F of det(sigma) / gcd(sigma.a, sigma.c) prime to N. Every
+    factor has a square root, or none (exactly when sigma.c != 0), so F
+    enters a weight-zero quotient as F^(-sum r / 2) = 1."""
     gamma, a, b, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
     if gamma[2] == 0:
         return gamma, a, b, c, None
@@ -209,7 +215,7 @@ def _eta_factor(delta: int, sigma: SigmaMatrix, primes) -> tuple:
     for prime in primes:
         v, rest = _valuation(rest, prime)
         valuations.append(v)
-    assert rest == 1, f"{c} has a prime outside {primes}"
+    assert rest == cofactor, f"{c} has a prime outside {primes}"
     return gamma, a, b, c, valuations
 
 
@@ -222,29 +228,25 @@ def _valuation(n: int, p: int) -> tuple:
     return (2 * v + 2, rest // p) if rest % p == 0 else (2 * v + 1, rest)
 
 
-def _expansion_primes(lvl: Level, sigma: SigmaMatrix) -> tuple:
-    """The primes of N = lvl.N and of det(sigma). Each c of cusp_expansion
-    divides delta * det(sigma) with delta | N, so it factors over them."""
-    rest = sigma.det // gcd(sigma.det, prod(lvl.primes) ** sigma.det.bit_length())
-    return lvl.primes + (tuple(factorize(rest)) if rest > 1 else ())
-
-
 def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, primes: tuple = None) -> CuspExpansion:
     """Exact leading coefficient and order of h along the uniformizer of sigma.
-    `primes` are those of h.N and det(sigma), `_expansion_primes` when not
-    given.
+    `primes` are those of h.N, `level(h.N).primes` when not given; c's part
+    prime to them cancels (`_eta_factor`).
 
     Requires weight zero (the exponents of h must sum to 0) so that the
     square-root factors of the transformation law cancel.
     """
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
-    primes = primes or _expansion_primes(level(h.N), sigma)
+    primes = primes or level(h.N).primes
+    cofactor = sigma.det // gcd(sigma.a, sigma.c)
+    for prime in primes:
+        cofactor = _valuation(cofactor, prime)[1]
     half = {}
     sqrt_balance = 0
     factors = []
     for delta, r in h.exponents:
-        gamma, a, b, c, valuations = _eta_factor(delta, sigma, primes)
+        gamma, a, b, c, valuations = _eta_factor(delta, sigma, primes, cofactor)
         if valuations is not None:
             # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(c);
             # the common-angle parts cancel once the weights balance
@@ -273,13 +275,11 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
     from .eta import pq_generators
 
     gens = pq_generators(p, q)
-    lvl = Level.of({p: 1, q: 1})
     table = {name: {} for name in ("f1", "f2", "f3")}
     for d in (1, p, q, p * q):
         sigma = pq_sigma_matrix(p, q, d)
-        primes = _expansion_primes(lvl, sigma)
         for name, h in zip(table, gens):
-            table[name][d] = cusp_expansion(h, sigma, primes)
+            table[name][d] = cusp_expansion(h, sigma, (p, q))
     return table
 
 

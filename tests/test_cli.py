@@ -355,6 +355,19 @@ def test_pq_with_two_large_primes_is_quick():
     assert torsion["kernel"]["invariant_factors"] == [(p - 1) * (q - 1) // 24]
 
 
+def test_pq_with_an_uncertifiable_prime_in_det_sigma_answers():
+    """det(sigma) at the cusp of level q is p (2 d p - 1), and 2 d p - 1 =
+    7535916099720210252795473 is a prime past the 3.3e24 bound of
+    `factorize`; that part cancels, so it is never factored."""
+    p, q = 2000000000137, 2000000010049
+    report = run_subprocess("pq", "--p", str(p), "--q", str(q))
+    assert report["kernel"]["invariant_factors"] == [166666667515333333390272]
+    assert report["torsion_order"] == "1333333340122666667122176"
+    torsion = run_subprocess("torsion", "--pq", str(p), str(q))
+    assert torsion["kernel"]["invariant_factors"] == [166666667515333333390272]
+    assert torsion["order"] == "1333333340122666667122176"
+
+
 def test_unknown_subcommand_exit_code(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

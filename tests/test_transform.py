@@ -32,6 +32,7 @@ from cuspidal.transform import (
     suggested_height,
 )
 from cuspidal.verify import agrees_with_oracle
+from test_linalg import sorted_divisors
 
 
 def test_jacobi_examples():
@@ -187,6 +188,37 @@ def test_cusp_expansion_matches_fraction_reference():
     for h, sigma in cases:
         got, expected = cusp_expansion(h, sigma), reference_cusp_expansion(h, sigma)
         assert (got.leading, got.order, got.gap) == (expected.leading, expected.order, expected.gap), (h, sigma)
+    # general sigma: the part of c prime to N is left unfactored because it
+    # cancels (_eta_factor); the reference factors c in full, so a foreign
+    # prime that failed to cancel would show
+    rng = random.Random(2770)
+    checked = 0
+    while checked < 2000:
+        N = rng.randint(2, 3000)
+        deltas = sorted_divisors(N)
+        chosen = rng.sample(deltas, min(rng.randint(2, 5), len(deltas)))
+        exponents = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in chosen[1:]]
+        sigma = [rng.randint(-40, 40) for _ in range(4)]
+        if sum(exponents) == 0 or sigma[0] * sigma[3] - sigma[1] * sigma[2] <= 0:
+            continue
+        h, sigma = EtaQuotient.make(N, dict(zip(chosen, [-sum(exponents), *exponents]))), SigmaMatrix(*sigma)
+        got, expected = cusp_expansion(h, sigma), reference_cusp_expansion(h, sigma)
+        assert (got.leading, got.order, got.gap) == (expected.leading, expected.order, expected.gap), (h, sigma)
+        checked += 1
+
+
+def test_cusp_expansion_refuses_primes_that_leave_a_varying_part():
+    # with the primes (13,) of only part of N = 481, c's part prime to them
+    # takes the powers of 37 in c, which vary with delta at the cusps 1 and
+    # 13; at 37 and 481 no c has the prime 37, and nothing changes
+    for m in (1, 13, 37, 481):
+        sigma = pq_sigma_matrix(13, 37, m)
+        for h in pq_generators(13, 37):
+            if m in (1, 13):
+                with pytest.raises(AssertionError, match="prime outside"):
+                    cusp_expansion(h, sigma, (13,))
+            else:
+                assert cusp_expansion(h, sigma, (13,)) == cusp_expansion(h, sigma, (13, 37))
 
 
 def test_eta_transformation_identity_numeric():
@@ -373,18 +405,24 @@ def test_eta_exact_matches_the_mpc_reference_at_rational_points():
             assert abs(value - expected) <= mp.ldexp(abs(expected), 4 - prec) * (1 + mp.ldexp(1, -20)), (X, Y, S)
 
 
-def test_pq_table_factors_each_cofactor_once(monkeypatch):
-    # det(sigma) has a prime outside {p, q} at the cusps 1, p and q: one
-    # factorization per cusp, shared by the three generators
+def test_pq_path_factors_nothing(monkeypatch, capsys):
+    # the pq path has the primes of N from its inputs, and the part of
+    # det(sigma) prime to N cancels (_eta_factor)
+    import sys
+
+    from cuspidal import curve
+    from cuspidal.cli import main
+
     calls = []
-
-    def counted(n):
-        calls.append(n)
-        return factorize(n)
-
-    monkeypatch.setattr(transform, "factorize", counted)
-    pq_leading_coefficients(13, 37)
-    assert sorted(calls) == [443, 519, 961]
+    for module in [m for name, m in sys.modules.items() if name.startswith("cuspidal")]:
+        if hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", lambda n, f=module.factorize: calls.append(n) or f(n))
+    curve.level.cache_clear()
+    assert main(["pq", "--p", "13", "--q", "37", "--json"]) == 0
+    assert main(["torsion", "--pq", "13", "37", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert not hasattr(transform, "factorize")
 
 
 def test_inverse_sqrt_is_the_principal_branch():
