@@ -3,7 +3,7 @@ eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities (`verify.determinant_claims`) certify the prime-power case."""
 
 from collections import namedtuple
-from math import gcd, prod
+from math import prod
 
 from .curve import CuspDivisor, Level, cusp_degrees, level
 from .errors import InputError, ScopeError
@@ -14,7 +14,7 @@ from .eta import (
     pq_generators,
     prime_power_generators,
 )
-from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis, is_prime
+from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis
 
 
 class ClassGroupResult(namedtuple("ClassGroupResult", "N group generator_divisors certified")):
@@ -42,13 +42,6 @@ class OrderMatrices(namedtuple("OrderMatrices", "p n m24 u v")):
     __slots__ = ()
 
 
-def _require_odd_prime_scope(p):
-    if p in (2, 3):
-        raise ScopeError(f"p = {p} is outside the supported scope (p >= 5 required)")
-    if not is_prime(p):
-        raise ScopeError(f"p = {p} is not prime")
-
-
 def divisor_lattice_coordinates(E: CuspDivisor):
     """Coordinates of a degree-zero cuspidal divisor in the basis
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
@@ -74,12 +67,9 @@ def _class_group_result(lvl: Level, rows, certified: bool, modulus=None) -> Clas
 def class_group(p: int, n: int) -> ClassGroupResult:
     """C(p^n) for p >= 5 prime, as the quotient of the cuspidal divisor
     lattice by the lattice of eta-unit divisors."""
-    _require_odd_prime_scope(p)
-    if n < 1:
-        raise InputError("n must be positive")
+    gens = prime_power_generators(p, n)
     lvl = Level.of({p: n})
-    rows = _divisor_rows(lvl, [h.exponents for h in prime_power_generators(p, n)])
-    return _class_group_result(lvl, rows, certified=True)
+    return _class_group_result(lvl, _divisor_rows(lvl, [h.exponents for h in gens]), certified=True)
 
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
@@ -92,23 +82,12 @@ def class_group_pq(p: int, q: int) -> ClassGroupResult:
 
 def order_matrices(p: int, n: int) -> OrderMatrices:
     """The matrices M (x24), U, V for X0(p^n)."""
-    _require_odd_prime_scope(p)
-    if n < 1:
-        raise InputError("n must be positive")
+    gens = prime_power_generators(p, n)
     N = p**n
     m24 = [[order_coefficient(N, p**j, p**i) for j in range(n + 1)] for i in range(n + 1)]
     degrees = list(Level.of({p: n}).degrees.values())
     u = [[degrees[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    c = 24 // gcd(p - 1, 12)
-    v = []
-    first = [0] * (n + 1)
-    first[0], first[1] = -c, c
-    v.append(first)
-    for k in range(n - 1):
-        row = [0] * (n + 1)
-        row[k], row[k + 2] = -1, 1
-        v.append(row)
-    v.append([1] * (n + 1))
+    v = [[dict(h.exponents).get(p**j, 0) for j in range(n + 1)] for h in gens] + [[1] * (n + 1)]
     return OrderMatrices(p=p, n=n, m24=IntMatrix(m24), u=IntMatrix(u), v=IntMatrix(v))
 
 

@@ -48,7 +48,7 @@ class Level(namedtuple("Level", "N factors primes degrees valuations")):
         factors = tuple(sorted(factors.items()))
         count = prod(a + 1 for _, a in factors)
         if count > MAX_CUSP_LEVELS:
-            N = prod(p**a for p, a in factors)
+            N = " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in factors)
             raise ScopeError(f"N = {N} has {count} cusp levels; at most {MAX_CUSP_LEVELS} are supported")
         rows = [(1, 1, ())]
         for p, a in factors:

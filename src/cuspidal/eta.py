@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .curve import CuspDivisor, Level, level
+from .curve import MAX_CUSP_LEVELS, CuspDivisor, Level, level
 from .errors import InputError, NotModularError, ScopeError
 from .linalg import is_prime
 
@@ -202,13 +202,21 @@ def divisor(h: EtaQuotient) -> CuspDivisor:
     return CuspDivisor.make(h.N, dict(zip(lvl.degrees, coeffs)))
 
 
-def prime_power_generators(p: int, n: int) -> list:
-    """Generators of the group of eta-unit divisors on X0(p^n) for p >= 5:
-    f = (eta(p)/eta(1))^(24/gcd(p-1,12)) and g_k = eta(p^(k+2))/eta(p^k)."""
+def _require_prime_power(p, n):
+    """The scope of every X0(p^n) computation: p a prime >= 5, n >= 1 and at
+    most MAX_CUSP_LEVELS cusp levels, checked before p^n is formed."""
     if not is_prime(p) or p < 5:
         raise ScopeError(f"p = {p} is not a prime >= 5")
     if n < 1:
         raise InputError("n must be positive")
+    if n >= MAX_CUSP_LEVELS:
+        raise ScopeError(f"N = {p}^{n} has {n + 1} cusp levels; at most {MAX_CUSP_LEVELS} are supported")
+
+
+def prime_power_generators(p: int, n: int) -> list:
+    """Generators of the group of eta-unit divisors on X0(p^n) for p >= 5:
+    f = (eta(p)/eta(1))^(24/gcd(p-1,12)) and g_k = eta(p^(k+2))/eta(p^k)."""
+    _require_prime_power(p, n)
     N = p**n
     e = 24 // gcd(p - 1, 12)
     gens = [EtaQuotient.make(N, {p: e, 1: -e})]

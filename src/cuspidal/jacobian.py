@@ -37,11 +37,6 @@ class TorsionResult(
         return self.kernel.order * self.mu_part.order
 
 
-def _require_p_at_least_5(p):
-    if not is_prime(p) or p < 5:
-        raise ScopeError(f"p = {p} is not a prime >= 5")
-
-
 def delta_matrix(p: int, n: int) -> IntMatrix:
     """Matrix of the unit-evaluation map on X0(p^n) in the bases
     (div f, div g_0, ..., div g_(n-2)) and (p, sqrt(p*), ..., sqrt(p*)):
@@ -55,9 +50,7 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     a' = 12/gcd(p-1, 12), first column (a', 1, ..., 1) and interior
     entries 2.
     """
-    _require_p_at_least_5(p)
-    if n < 1:
-        raise InputError("n must be positive")
+    gens = prime_power_generators(p, n)
     sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
     # table[p^k][m] = v_p(c) for eta(p^k sigma_m z), or None if it has no
     # square-root factor; the helper asserts that c has no other prime
@@ -66,7 +59,7 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
         valuations = [_eta_factor(p**k, sigma, (p,))[4] for sigma in sigmas]
         table[p**k] = [None if v is None else v[0] for v in valuations]
     rows = []
-    for h in prime_power_generators(p, n):
+    for h in gens:
         half = []
         for m in range(n + 1):
             factors = [(r, table[delta][m]) for delta, r in h.exponents if table[delta][m] is not None]
@@ -104,7 +97,6 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     [W | dm] that `pq_delta_kernel` takes, W the coordinates of the
     generator divisors, specialised to this dm; it needs only div f.
     """
-    _require_p_at_least_5(p)
     a_prime = 12 // gcd(p - 1, 12)
     dm = delta_matrix(p, n)
     for i in range(n):
@@ -135,7 +127,6 @@ def generalized_torsion(p: int, n: int) -> TorsionResult:
     result for n = 1 is unconditional; for n >= 2 it assumes the cuspidal
     class group fills up the rational torsion of the classical Jacobian.
     """
-    _require_p_at_least_5(p)
     kernel = delta_kernel_on_cuspidal(p, n)
     if not kernel.is_trivial:
         raise AssertionError(

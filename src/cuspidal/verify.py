@@ -16,10 +16,18 @@ from operator import mul
 
 import mpmath as mp
 
-from .classgroup import OrderMatrices, _require_odd_prime_scope, class_group, class_group_pq, order_matrices
+from .classgroup import OrderMatrices, class_group, class_group_pq, order_matrices
 from .curve import cusp_degrees
 from .errors import InputError
-from .eta import EtaQuotient, check_modular_function, divisor, order_at_cusp, pq_generators, prime_power_generators
+from .eta import (
+    EtaQuotient,
+    _require_prime_power,
+    check_modular_function,
+    divisor,
+    order_at_cusp,
+    pq_generators,
+    prime_power_generators,
+)
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from .linalg import AbelianGroup, IntMatrix, _egcd, smith_normal_form
 from .transform import (
@@ -95,9 +103,7 @@ def agrees_with_oracle(exact, numeric) -> bool:
 def ling_structure(p: int, n: int) -> AbelianGroup:
     """Closed-form structure of C(p^n): (Z/a)^n x (Z/b)^(n-1) times an
     explicit product of p-power cyclic factors depending on the parity of n."""
-    _require_odd_prime_scope(p)
-    if n < 1:
-        raise InputError("n must be positive")
+    _require_prime_power(p, n)
     a = (p - 1) // gcd(p - 1, 12)
     b = (p + 1) // gcd(p + 1, 12)
     orders = [a] * n + [b] * (n - 1)

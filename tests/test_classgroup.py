@@ -207,6 +207,15 @@ def test_order_matrices_structure():
     c = 24 // gcd(6, 12)
     assert list(mats.v.row(0)) == [-c, c, 0, 0]
     assert list(mats.v.row(3)) == [1, 1, 1, 1]
+    # V's rows against the explicit pattern: (-c, c, 0, ...), then -1 at k
+    # and +1 at k + 2, then all ones
+    for p in (5, 7, 13):
+        c = 24 // gcd(p - 1, 12)
+        for n in range(1, 7):
+            expected = [[-c, c] + [0] * (n - 1)]
+            expected += [[-1 if j == k else 1 if j == k + 2 else 0 for j in range(n + 1)] for k in range(n - 1)]
+            expected.append([1] * (n + 1))
+            assert [list(order_matrices(p, n).v.row(i)) for i in range(n + 1)] == expected, (p, n)
     # first n rows of VMU are the lambda images of div f, div g_k (x24);
     # VMU orders coordinates by ascending cusp level, lambda puts the
     # base-cusp coordinate first, so the rows agree up to that rotation

@@ -3,8 +3,13 @@ import time
 from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 from cuspidal import transform
+from cuspidal.classgroup import class_group, order_matrices
+from cuspidal.errors import InputError, ScopeError
+from cuspidal.eta import prime_power_generators
+from cuspidal.jacobian import delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from cuspidal.verify import ling_structure
 from cuspidal.cli import _decimal, main
 
@@ -128,7 +133,40 @@ def test_scope_error_exit_code(capsys):
     for p in ("2", "3"):
         code, out, err = run_cli(capsys, "class-group", "--p", p, "--n", "1")
         assert code == 2
-        assert "p >= 5" in err
+        assert err == f"error: p = {p} is not a prime >= 5\n"
+
+
+@pytest.mark.parametrize(
+    "func, command",
+    [
+        (class_group, "class-group"),
+        (order_matrices, "matrices"),
+        (prime_power_generators, "leading-coeffs"),
+        (delta_matrix, "delta"),
+        (delta_kernel_on_cuspidal, None),
+        (generalized_torsion, "torsion"),
+        (ling_structure, None),
+    ],
+)
+def test_every_prime_power_entry_point_has_the_one_scope(capsys, func, command):
+    for p in (2, 3, 4, 15, 1, 0, -5):
+        with pytest.raises(ScopeError) as err:
+            func(p, 2)
+        assert str(err.value) == f"p = {p} is not a prime >= 5"
+    for n in (0, -1):
+        with pytest.raises(InputError, match="^n must be positive$"):
+            func(5, n)
+    # 5^70000 has 70001 cusp levels: refused before p^n is formed
+    with pytest.raises(ScopeError, match="^N = 5\\^70000 has 70001 cusp levels"):
+        func(5, 70000)
+    if command is None:
+        return
+    code, out, err = run_cli(capsys, command, "--p", "3", "--n", "2")
+    assert (code, out, err) == (2, "", "error: p = 3 is not a prime >= 5\n")
+    start = time.process_time()
+    code, out, err = run_cli(capsys, command, "--p", "5", "--n", "70000", "--json")
+    assert code == 2 and out == "" and "70001 cusp levels" in err
+    assert time.process_time() - start < 1
 
 
 def test_class_group_refuses_a_level_with_too_many_cusps_at_once(capsys):
