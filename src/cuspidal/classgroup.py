@@ -2,7 +2,6 @@
 eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities (`verify.determinant_claims`) certify the prime-power case."""
 
-from collections import namedtuple
 from math import prod
 
 from .curve import CuspDivisor, Level, cusp_degrees, level
@@ -14,10 +13,10 @@ from .eta import (
     pq_generators,
     prime_power_generators,
 )
-from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis
+from .linalg import AbelianGroup, IntMatrix, cokernel, congruence_kernel, hermite_row_basis, record
 
 
-class ClassGroupResult(namedtuple("ClassGroupResult", "N group generator_divisors certified")):
+class ClassGroupResult(record("ClassGroupResult", "N group generator_divisors certified")):
     """Structure of C(N), the generators used for the unit lattice, and
     whether that lattice provably equals the full group of principal cuspidal
     divisors (true for N = p^n with p >= 5 and N = pq with p == q == 1 mod 12;
@@ -30,7 +29,7 @@ class ClassGroupResult(namedtuple("ClassGroupResult", "N group generator_divisor
         return self.group.order
 
 
-class OrderMatrices(namedtuple("OrderMatrices", "p n m24 u v")):
+class OrderMatrices(record("OrderMatrices", "p n m24 u v")):
     """The three square matrices of dimension n+1 attached to X0(p^n).
 
     `m24` is 24 times the matrix of cusp orders (rows: eta(p^i tau), columns:

@@ -8,22 +8,21 @@ multiplicity.
 """
 
 import functools
-from collections import namedtuple
 from math import gcd, prod
 from types import MappingProxyType
 
 from .errors import InputError, ScopeError
-from .linalg import factorize
+from .linalg import factorize, record
 
 # A level with more cusp levels than this is refused before its tables are
 # built: they take time and memory in proportion to d(N).
 MAX_CUSP_LEVELS = 1 << 16
 
 
-Cusp = namedtuple("Cusp", "N level conductor degree width")
+Cusp = record("Cusp", "N level conductor degree width")
 
 
-class Level(namedtuple("Level", "N factors primes degrees valuations")):
+class Level(record("Level", "N factors primes degrees valuations")):
     """The level N of X0(N) and what its cusps read from the factorization
     of N: `factors` ((p, a), ...) and `primes` in increasing order,
     `degrees`, the read-only map d -> phi(gcd(d, N/d)) from the divisors d
@@ -88,7 +87,7 @@ def cusps(N: int) -> list:
     ]
 
 
-class CuspDivisor(namedtuple("CuspDivisor", "N coefficients")):
+class CuspDivisor(record("CuspDivisor", "N coefficients")):
     """A divisor supported on the cusps of X0(N), as a map level -> coefficient.
 
     Coefficients are integers; elements of the cuspidal divisor group proper

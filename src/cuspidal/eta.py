@@ -2,19 +2,18 @@
 and the explicit generator families for prime-power and pq levels."""
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from .curve import MAX_CUSP_LEVELS, CuspDivisor, Level, level
 from .errors import InputError, NotModularError, ScopeError
-from .linalg import is_prime
+from .linalg import is_prime, record
 
 _ETA_FACTOR = re.compile(r"eta\(\s*(\d+)\s*\)(?:\s*\^\s*(-?\d+))?", re.IGNORECASE)
 
 
-class EtaQuotient(namedtuple("EtaQuotient", "N exponents")):
+class EtaQuotient(record("EtaQuotient", "N exponents")):
     """A finite product of eta factors eta(delta*tau)^r over divisors delta of N.
 
     Exponents are stored sparsely; product and integer powers act on the
@@ -80,7 +79,7 @@ class EtaQuotient(namedtuple("EtaQuotient", "N exponents")):
         )
 
 
-class LigozatReport(namedtuple("LigozatReport", "weight_zero square_product sum_delta_mod_24 sum_complement_mod_24")):
+class LigozatReport(record("LigozatReport", "weight_zero square_product sum_delta_mod_24 sum_complement_mod_24")):
     """Outcome of the four Ligozat conditions for modularity on X0(N): the
     exponents sum to zero, prod delta^r(delta) is a rational square, and
     sum r(delta)*delta and sum r(delta)*(N/delta) are 0 mod 24."""

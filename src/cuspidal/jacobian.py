@@ -9,18 +9,17 @@ kernel is the obstruction to injectivity of the connecting map on the
 cuspidal divisor class group.
 """
 
-from collections import namedtuple
 from math import gcd
 
 from .classgroup import class_group_pq, divisor_lattice_coordinates
 from .errors import InputError, ScopeError
 from .eta import divisor, prime_power_generators
-from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime
+from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime, record
 from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
 
 
 class TorsionResult(
-    namedtuple("TorsionResult", "conditional kernel mu_part group up_to_2_torsion note", defaults=(None, None, ""))
+    record("TorsionResult", "conditional kernel mu_part group up_to_2_torsion", defaults=(None, None))
 ):
     """Torsion of the generalized Jacobian assembled from the cuspidal data.
 
@@ -138,7 +137,6 @@ def generalized_torsion(p: int, n: int) -> TorsionResult:
         kernel=kernel,
         mu_part=mu,
         group=mu,
-        note="direct sum: the connecting-map kernel is trivial",
     )
 
 
@@ -187,5 +185,4 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
         mu_part=mu,
         group=None,
         up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
-        note="extension not resolved; cyclic of order (p-1)(q-1)/3 up to 2-torsion",
     )

@@ -5,6 +5,7 @@ Everything here is exact; no floating point is used anywhere in this module.
 """
 
 import itertools
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,22 @@ from math import gcd
 from .errors import InputError, ScopeError
 
 
-class QmodZ(namedtuple("QmodZ", "value")):
+def _not_a_sequence(self, other):
+    raise TypeError(f"a {type(self).__name__} record cannot be added to or repeated like a tuple")
+
+
+def record(name, fields, **options):
+    """A named tuple class, defined in the calling module, on which `+` and
+    `*` raise TypeError: tuple concatenation and repetition mean nothing
+    for a record. They raise rather than return NotImplemented, or Python
+    would fall back to the tuple's own `() + r` and `3 * r`. A subclass may
+    still define `*` (an eta quotient's product)."""
+    cls = namedtuple(name, fields, module=sys._getframe(1).f_globals["__name__"], **options)
+    cls.__add__ = cls.__radd__ = cls.__mul__ = cls.__rmul__ = _not_a_sequence
+    return cls
+
+
+class QmodZ(record("QmodZ", "value")):
     """A rational number reduced modulo 1 into [0, 1).
 
     Used throughout as the exponent of a root of unity e^(2*pi*i*value).
@@ -116,7 +132,7 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "d p q")):
+class SmithDecomposition(record("SmithDecomposition", "d p q")):
     """P * A * Q = D with P, Q unimodular and D diagonal with d1 | d2 | ..."""
 
     __slots__ = ()
@@ -302,7 +318,7 @@ def _gcd_steps(m, p, q, t, rows, modulus=None):
             live = [row for row in live if row[t]]
 
 
-class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
+class AbelianGroup(record("AbelianGroup", "invariant_factors")):
     """Finite abelian group given by its invariant factors d1 | d2 | ... (each > 1).
 
     The trivial group is the empty factor list.

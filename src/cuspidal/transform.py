@@ -13,7 +13,6 @@ definition of eta (plus argument reduction to the fundamental domain) and is
 used to certify the exact values.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi
 
@@ -22,10 +21,10 @@ import mpmath as mp
 from .curve import level
 from .errors import ScopeError
 from .eta import EtaQuotient
-from .linalg import QmodZ, _egcd
+from .linalg import QmodZ, _egcd, record
 
 
-class LeadingCoeff(namedtuple("LeadingCoeff", "phase half_exponents")):
+class LeadingCoeff(record("LeadingCoeff", "phase half_exponents")):
     """An exact algebraic number zeta * prod p^(v_p / 2): a root of unity
     recorded as a phase in Q/Z together with half-integer prime exponents."""
 
@@ -74,7 +73,7 @@ class LeadingCoeff(namedtuple("LeadingCoeff", "phase half_exponents")):
         return "*".join(parts) if parts else "1"
 
 
-class SigmaMatrix(namedtuple("SigmaMatrix", "a b c d")):
+class SigmaMatrix(record("SigmaMatrix", "a b c d")):
     """Integer 2x2 matrix of positive determinant mapping infinity to a
     chosen cusp representative; the local uniformizer it induces is
     q = e^(2*pi*i*tau) pulled back along the matrix."""
@@ -187,7 +186,7 @@ def _upper_triangularize(m11, m12, m21, m22):
     return gamma, a, b, c
 
 
-class CuspExpansion(namedtuple("CuspExpansion", "leading order gap")):
+class CuspExpansion(record("CuspExpansion", "leading order gap")):
     """Leading data of an eta quotient along a cusp uniformizer: the exact
     leading coefficient, the q-order, and the minimal exponent step of the
     expansion (which controls numeric convergence)."""
@@ -415,7 +414,7 @@ def eta_numeric(z):
     return _eta_exact((-xm if z.real < 0 else xm) << (xe - e), ym << (ye - e), 1 << -e)
 
 
-NumericLeadingCoeff = namedtuple("NumericLeadingCoeff", "value error_estimate")
+NumericLeadingCoeff = record("NumericLeadingCoeff", "value error_estimate")
 
 
 # the oracle evaluates every eta value at 50 digits

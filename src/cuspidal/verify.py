@@ -9,7 +9,6 @@ pytest.
 
 import random
 import time
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -29,7 +28,7 @@ from .eta import (
     prime_power_generators,
 )
 from .jacobian import delta_cokernel, delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
-from .linalg import AbelianGroup, IntMatrix, _egcd, smith_normal_form
+from .linalg import AbelianGroup, IntMatrix, _egcd, is_prime, record, smith_normal_form
 from .transform import (
     LeadingCoeff,
     cusp_expansion,
@@ -43,11 +42,7 @@ from .transform import (
 )
 
 
-CheckResult = namedtuple("CheckResult", "criterion passed detail")
-
-
-def _primes(lo, hi):
-    return [p for p in range(lo, hi) if all(p % d for d in range(2, int(p**0.5) + 1))]
+CheckResult = record("CheckResult", "criterion passed detail")
 
 
 def check_class_group_structure() -> CheckResult:
@@ -71,12 +66,13 @@ def check_class_group_structure() -> CheckResult:
 
 def check_mazur_orders() -> CheckResult:
     """C(p) cyclic of order (p-1)/gcd(p-1,12) for all primes 5 <= p < 200."""
-    for p in _primes(5, 200):
+    primes = [p for p in range(5, 200) if is_prime(p)]
+    for p in primes:
         a = (p - 1) // gcd(p - 1, 12)
         expected = AbelianGroup.from_cyclic_orders([a])
         if class_group(p, 1).group != expected:
             return CheckResult("mazur-orders", False, f"mismatch at p = {p}")
-    return CheckResult("mazur-orders", True, f"{len(_primes(5, 200))} primes match exactly")
+    return CheckResult("mazur-orders", True, f"{len(primes)} primes match exactly")
 
 
 def check_determinant_claims() -> CheckResult:

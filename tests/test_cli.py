@@ -11,7 +11,7 @@ from cuspidal.errors import InputError, ScopeError
 from cuspidal.eta import prime_power_generators
 from cuspidal.jacobian import delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from cuspidal.verify import ling_structure
-from cuspidal.cli import _decimal, main
+from cuspidal.cli import COMMANDS, _decimal, main
 
 
 # `--json` reports recorded before the text output was derived from them;
@@ -441,6 +441,32 @@ def test_json_reports_match_the_golden_file(capsys):
         assert out == json.dumps(case["report"], indent=2, sort_keys=True) + "\n", case["argv"]
 
 
+# every form of every command, with the `inputs` its report echoes
+INPUT_ECHOES = [
+    (("cusps", "12"), {"N": 12}),
+    (("eta-check", "eta(5)^6 * eta(1)^-6", "--level", "5"), {"expression": "eta(5)^6 * eta(1)^-6", "level": 5}),
+    (("divisor", "eta(25) * eta(1)^-1", "--level", "25"), {"expression": "eta(25) * eta(1)^-1", "level": 25}),
+    (("class-group", "--N", "30"), {"N": 30}),
+    (("class-group", "--n", "2", "--p", "5"), {"p": 5, "n": 2}),
+    (("matrices", "--p", "5", "--n", "2"), {"p": 5, "n": 2}),
+    (("leading-coeffs", "--p", "5", "--n", "2"), {"p": 5, "n": 2}),
+    (("delta", "--p", "5", "--n", "3"), {"p": 5, "n": 3}),
+    (("torsion", "--p", "5", "--n", "2"), {"p": 5, "n": 2}),
+    (("torsion", "--pq", "13", "37"), {"pq": [13, 37]}),
+    (("pq", "--p", "13", "--q", "37"), {"p": 13, "q": 37}),
+    (("verify", "--suite", "mazur"), {"suite": "mazur"}),
+    (("verify",), {"suite": "all"}),
+]
+
+
+@pytest.mark.parametrize("argv, inputs", INPUT_ECHOES, ids=[" ".join(argv) for argv, _ in INPUT_ECHOES])
+def test_inputs_are_the_arguments_given(capsys, argv, inputs):
+    assert {argv[0] for argv, _ in INPUT_ECHOES} == set(COMMANDS)
+    code, out, err = run_cli(capsys, *argv, "--json", "--timing")
+    assert code == 0, err
+    assert json.loads(out)["inputs"] == inputs
+
+
 def test_pq_command(capsys):
     code, out, _ = run_cli(capsys, "pq", "--p", "13", "--q", "61", "--json")
     assert code == 0
@@ -665,8 +691,6 @@ def test_every_subcommand_runs_from_a_fresh_process():
     """Each handler imports what it calls: in a fresh interpreter nothing
     else has loaded its modules. No command loads `dataclasses` or the
     `inspect` it pulls in."""
-    from cuspidal.cli import build_parser
-
     commands = {
         "cusps": ("12",),
         "eta-check": ("eta(5)^6 * eta(1)^-6", "--level", "5"),
@@ -679,8 +703,7 @@ def test_every_subcommand_runs_from_a_fresh_process():
         "pq": ("--p", "13", "--q", "37"),
         "verify": ("--suite", "mazur"),
     }
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    assert set(commands) == set(subparsers.choices)
+    assert set(commands) == set(COMMANDS)
     for name, args in commands.items():
         modules = fresh_modules(name, *args)
         assert "cuspidal.cli" in modules, name

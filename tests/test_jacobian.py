@@ -269,7 +269,6 @@ def rational_pq_delta_kernel(p, q):
         mu_part=AbelianGroup((2, 2, 2)),
         group=None,
         up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
-        note="extension not resolved; cyclic of order (p-1)(q-1)/3 up to 2-torsion",
     )
 
 

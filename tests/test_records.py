@@ -1,6 +1,8 @@
 """The package's record types: immutable, equal with equal hashes when their
-fields are, and still checking the input that they validate."""
+fields are, still checking the input that they validate, and refusing the
+tuple `+` and `*`."""
 
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -66,3 +68,20 @@ def test_record_is_immutable_equal_by_fields_and_validated(record_type):
     for fields in refused:
         with pytest.raises(ValueError):
             record_type(*fields)
+
+
+@pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
+def test_record_refuses_tuple_concatenation_and_repetition(record_type):
+    record = RECORDS[record_type][0]()
+    for operation in (
+        lambda: record + record,
+        lambda: record + (),
+        lambda: () + record,
+        lambda: 3 * record,
+        lambda: record * 3,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    # the named tuple class, like any subclass of it, belongs to the module that defines the record
+    for cls in record_type.__mro__[:-2]:
+        assert getattr(sys.modules[cls.__module__], record_type.__name__) is record_type
