@@ -24,6 +24,7 @@ any other `ValueError` or `ArithmeticError`).
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -321,7 +322,10 @@ def main(argv=None) -> int:
     report = {"command": args.command, "inputs": inputs, **results}
     if args.timing:
         report["timing_seconds"] = time.monotonic() - start
-    print(json.dumps(report, indent=2, sort_keys=True) if args.json else "\n".join(_render(report)))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True) if args.json else "\n".join(_render(report)), flush=True)
+    except BrokenPipeError:  # the reader closed stdout: keep the exit flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "verify" and not results["all_passed"]:
         return 1
     return 0

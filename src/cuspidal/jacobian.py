@@ -15,7 +15,7 @@ from .classgroup import class_group_pq, divisor_lattice_coordinates
 from .errors import InputError, ScopeError
 from .eta import divisor, prime_power_generators
 from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime, record
-from .transform import _eta_factor, pq_leading_coefficients, sigma_matrix
+from .transform import _prime_power_valuations, pq_leading_coefficients, sigma_matrix
 
 
 class TorsionResult(
@@ -42,28 +42,21 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     the leading coefficient at the base cusp over the one at each other
     cusp, roots of unity discarded. Only p-parts count, and at the cusp of
     sigma the one of prod eta(delta z)^r has half-exponent -sum r v_p(c) over
-    the factors with a square-root part (`_eta_factor`), so each pair
-    (p^k, sigma_m) is transformed once, into one table.
+    its factors, all with a square-root part, so each sigma gives the
+    v_p(c) of every eta(p^k z) at once (`_prime_power_valuations`).
 
     Equals the lower-triangular matrix with diagonal (a', 1, ..., 1),
     a' = 12/gcd(p-1, 12), first column (a', 1, ..., 1) and interior
     entries 2.
     """
-    gens = prime_power_generators(p, n)
-    sigmas = [sigma_matrix(p, n, m) for m in range(n + 1)]
-    # table[p^k][m] = v_p(c) for eta(p^k sigma_m z), or None if it has no
-    # square-root factor; the helper asserts that c has no other prime
-    table = {}
-    for k in range(n + 1):
-        valuations = [_eta_factor(p**k, sigma, (p,))[4] for sigma in sigmas]
-        table[p**k] = [None if v is None else v[0] for v in valuations]
+    gens = prime_power_generators(p, n)  # checks p before any valuation
+    # table[p^k][m] = v_p(c) for eta(p^k sigma_m z)
+    by_sigma = [_prime_power_valuations(p, n, sigma_matrix(p, n, m)) for m in range(n + 1)]
+    table = {p**k: row for k, row in enumerate(zip(*by_sigma))}
     rows = []
     for h in gens:
-        half = []
-        for m in range(n + 1):
-            factors = [(r, table[delta][m]) for delta, r in h.exponents if table[delta][m] is not None]
-            assert sum(r for r, _ in factors) == 0, "square-root factors failed to cancel"
-            half.append(-sum(r * v for r, v in factors))
+        assert sum(r for _, r in h.exponents) == 0, "square-root factors failed to cancel"
+        half = [-sum(terms) for terms in zip(*([r * v for v in table[delta]] for delta, r in h.exponents))]
         # the base and level-1 cusps are rational: the value is a plain
         # power of p, so the half-exponent difference must be even
         diff = half[n] - half[0]

@@ -218,6 +218,20 @@ def _eta_factor(delta: int, sigma: SigmaMatrix, primes, cofactor: int = 1) -> tu
     return gamma, a, b, c, valuations
 
 
+def _prime_power_valuations(p: int, n: int, sigma: SigmaMatrix) -> list:
+    """[v_p(c) for eta(p^k sigma z), k = 0..n], c = p^k det(sigma) / gcd(p^k
+    sigma.a, sigma.c) as in `_eta_factor`. With sigma.a = p^alpha a', sigma.c
+    = p^gamma c', det(sigma) = p^beta D', p dividing none of a', c', D' (alpha
+    = gamma, a' = 0 if sigma.a = 0), c = p^(k + beta - min(k + alpha, gamma))
+    D' / gcd(a', c'): the part prime to p, checked to be 1, is the same for all k."""
+    assert sigma.c, "every uniformizer of X0(p^n) moves infinity"
+    gamma, c_rest = _valuation(sigma.c, p)
+    alpha, a_rest = _valuation(sigma.a, p) if sigma.a else (gamma, 0)
+    beta, d_rest = _valuation(sigma.det, p)
+    assert d_rest == gcd(a_rest, c_rest), f"{sigma.det // gcd(sigma.a, sigma.c)} has a prime outside {(p,)}"
+    return [k + beta - min(k + alpha, gamma) for k in range(n + 1)]
+
+
 def _valuation(n: int, p: int) -> tuple:
     """(v, n // p**v) for the exponent v of p in n != 0, in O(log v)
     divisions: by p, then by p^2, p^4, ... through the recursion."""

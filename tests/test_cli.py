@@ -356,24 +356,40 @@ def test_large_prime_level_is_quick():
     assert levels == [1, 1000000000000000009]
 
 
-def run_subprocess(*argv):
-    """The CLI's JSON report in a fresh interpreter, with a 60 s timeout."""
+def cli_command(*argv):
+    """The argv and environment that run the CLI in a fresh interpreter."""
     import os
-    import subprocess
     import sys
 
     import cuspidal
 
     env = dict(os.environ, PYTHONPATH=str(Path(cuspidal.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "cuspidal.cli", *argv, "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    return [sys.executable, "-m", "cuspidal.cli", *argv], env
+
+
+def run_subprocess(*argv):
+    """The CLI's JSON report in a fresh interpreter, with a 60 s timeout."""
+    import subprocess
+
+    command, env = cli_command(*argv, "--json")
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_a_reader_closing_stdout_is_no_internal_failure(tmp_path):
+    """The reader of a report far larger than a pipe's buffer closes the pipe
+    after one line, so the CLI's print meets a broken pipe: the rest of the
+    report is dropped, and the command exits 0 without a traceback."""
+    import subprocess
+
+    command, env = cli_command("delta", "--p", "5", "--n", "400")
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline() == b"cokernel:\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in (tmp_path / "stderr").read_text()
 
 
 def test_pq_with_a_large_prime_is_quick():

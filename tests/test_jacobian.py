@@ -38,7 +38,7 @@ def test_delta_matrix_examples():
     assert delta_matrix(7, 2) == IntMatrix([[2, 0], [1, 1]])
 
 
-DEEP_DELTA_CASES = [(5, 40), (7, 24), (257, 4)]
+DEEP_DELTA_CASES = [(5, 40), (7, 24), (257, 4), (5, 400)]
 
 
 def test_delta_matrix_closed_form():

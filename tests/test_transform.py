@@ -14,10 +14,12 @@ from cuspidal.transform import (
     LeadingCoeff,
     SigmaMatrix,
     _eta_exact,
+    _eta_factor,
     _eta_factor_count,
     _eta_product,
     _inverse_sqrt,
     _oracle_point,
+    _prime_power_valuations,
     _to_fundamental_domain,
     _upper_triangularize,
     _valuation,
@@ -219,6 +221,26 @@ def test_cusp_expansion_refuses_primes_that_leave_a_varying_part():
                     cusp_expansion(h, sigma, (13,))
             else:
                 assert cusp_expansion(h, sigma, (13,)) == cusp_expansion(h, sigma, (13, 37))
+
+
+def test_prime_power_valuations_match_the_eta_factors():
+    def reference(p, n, sigma):
+        return [_eta_factor(p**k, sigma, (p,))[4][0] for k in range(n + 1)]
+
+    for p in (5, 7, 13, 257):
+        for n in range(1, 13):
+            for m in range(n + 1):
+                sigma = sigma_matrix(p, n, m)
+                assert _prime_power_valuations(p, n, sigma) == reference(p, n, sigma), (p, n, m)
+    # sigma.a = 0, where gcd(0, sigma.c) = |sigma.c|; a prime outside p in
+    # det(sigma) that gcd(a', c') cancels
+    for sigma in (SigmaMatrix(0, -1, 5**3, 5), SigmaMatrix(3, 0, 3 * 5**2, 1), SigmaMatrix(-6 * 5, -1, 3 * 5**4, 0)):
+        assert _prime_power_valuations(5, 8, sigma) == reference(5, 8, sigma), sigma
+    # a prime outside p in det(sigma) that does not cancel
+    for sigma in (SigmaMatrix(2, 0, 5**2, 1), SigmaMatrix(0, -2, 5**3, 7)):
+        for valuations in (_prime_power_valuations, reference):
+            with pytest.raises(AssertionError, match="prime outside"):
+                valuations(5, 8, sigma)
 
 
 def test_eta_transformation_identity_numeric():
