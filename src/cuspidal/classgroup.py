@@ -52,23 +52,43 @@ def divisor_lattice_coordinates(E: CuspDivisor):
     return [coeffs.get(d, 0) for d in cusp_degrees(E.N)][:-1]
 
 
-def _class_group_result(lvl: Level, rows, certified: bool, modulus=None) -> ClassGroupResult:
+def _class_group_result(lvl: Level, rows, certified: bool, modulus=None, coordinates=None) -> ClassGroupResult:
     """C(N) as the cokernel of the coordinates (`divisor_lattice_coordinates`)
-    of the given divisor coefficient rows, which are its generators; the
-    rows come checked from `_divisor_rows`, so the divisors are built as
-    they are."""
-    group = cokernel([row[:-1] for row in rows], len(lvl.degrees) - 1, modulus)
-    levels = list(lvl.degrees)
-    generators = tuple(CuspDivisor(lvl.N, tuple((d, c) for d, c in zip(levels, row) if c)) for row in rows)
+    of the given divisor coefficient rows, its generators, or of `coordinates`
+    when given, rows with the same cokernel; the rows come checked from
+    `_divisor_rows`, so the divisors are built as they are."""
+    group = cokernel(coordinates or [row[:-1] for row in rows], len(lvl.degrees) - 1, modulus)
+    generators = tuple(CuspDivisor(lvl.N, tuple((d, c) for d, c in zip(lvl.degrees, row) if c)) for row in rows)
     return ClassGroupResult(N=lvl.N, group=group, generator_divisors=generators, certified=certified)
+
+
+def _banded_coordinates(p: int, n: int, rows) -> list:
+    """Coordinates of the divisor rows of `prime_power_generators(p, n)` after
+    integer steps, each unimodular, so the cokernel is the same for any
+    integer c_j: column j -= c_j column j+1 (j = 0..n-2), c_j = 24M[1][p^j] /
+    24M[1][p^(j+1)] (p^2, p or 1), then row i -= p row i+1 (i = 2..n-2). As
+    24M(p^n) has entries p^(n-|i-j|-min(j, n-j)) (rows eta(p^i tau), columns
+    p^j), the column steps clear eta(p^i tau) at columns i..n-2 and leave p^-i
+    times a function of j before column i; so row i, from eta(p^(i+1)) /
+    eta(p^(i-1)), less p times row i+1 is nonzero only at columns i-1, i+1, n-1."""
+    N = p**n
+    ratios = [order_coefficient(N, p**j, 1) // order_coefficient(N, p ** (j + 1), 1) for j in range(n - 1)]
+    coordinates = [row[:-1] for row in rows]
+    for x in coordinates:
+        for j, c in enumerate(ratios):
+            x[j] -= c * x[j + 1]
+    for x, y in zip(coordinates[2:], coordinates[3:]):
+        x[:] = [a - p * b for a, b in zip(x, y)]
+    return coordinates
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
     """C(p^n) for p >= 5 prime, as the quotient of the cuspidal divisor
-    lattice by the lattice of eta-unit divisors."""
+    lattice by the lattice of eta-unit divisors, in banded coordinates."""
     gens = prime_power_generators(p, n)
     lvl = Level.of({p: n})
-    return _class_group_result(lvl, _divisor_rows(lvl, [h.exponents for h in gens]), certified=True)
+    rows = _divisor_rows(lvl, [h.exponents for h in gens])
+    return _class_group_result(lvl, rows, certified=True, coordinates=_banded_coordinates(p, n, rows))
 
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:

@@ -65,10 +65,19 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def _check_triangular(dm: IntMatrix, corner: int) -> None:
+    """AssertionError unless dm is lower triangular with diagonal (corner, 1, ...); ValueError if not square."""
+    for i, row in zip(range(dm.ncols), dm, strict=True):
+        if row[i] != (corner if i == 0 else 1) or any(row[i + 1 :]):
+            raise AssertionError("delta matrix is not lower triangular with diagonal (a', 1, ..., 1)")
+
+
 def delta_cokernel(matrix: IntMatrix) -> AbelianGroup:
     """Cokernel of the unit-evaluation map given by its matrix (as built by
-    `delta_matrix`): cyclic of order 12/gcd(p-1,12)."""
-    return cokernel(matrix, matrix.ncols)
+    `delta_matrix`), which must be lower triangular with diagonal (a', 1, ...,
+    1): its minor without row and column 0 is unitriangular, so it is Z/|a'|."""
+    _check_triangular(matrix, matrix[0, 0])
+    return cokernel([[matrix[0, 0]]], 1)
 
 
 def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
@@ -90,11 +99,7 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     generator divisors, specialised to this dm; it needs only div f.
     """
     a_prime = 12 // gcd(p - 1, 12)
-    dm = delta_matrix(p, n)
-    for i in range(n):
-        for j in range(i, n):
-            if dm[i, j] != ((a_prime if i == 0 else 1) if i == j else 0):
-                raise AssertionError("delta matrix is not lower triangular with diagonal (a', 1, ..., 1)")
+    _check_triangular(delta_matrix(p, n), a_prime)
     f = prime_power_generators(p, n)[0]
     quotient = gcd(a_prime, *divisor_lattice_coordinates(divisor(f)))
     return AbelianGroup.from_cyclic_orders([quotient])
@@ -102,13 +107,13 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
 
 def mu_contribution(p: int, n: int) -> AbelianGroup:
     """Roots of unity in the residue fields of the non-base cusps of X0(p^n):
-    the cusp of level p^i contributes a cyclic group of order 2 p^min(i,n-i)."""
+    the cusp of level p^i contributes a cyclic group of order 2 p^min(i,n-i).
+    Sorted, these orders are already a divisibility chain (AbelianGroup checks)."""
     if not is_prime(p) or p == 2:
         raise ScopeError(f"p = {p} must be an odd prime")
     if n < 1:
         raise InputError("n must be positive")
-    orders = [2 * p ** min(i, n - i) for i in range(n)]
-    return AbelianGroup.from_cyclic_orders(orders)
+    return AbelianGroup(sorted(2 * p ** min(i, n - i) for i in range(n)))
 
 
 def generalized_torsion(p: int, n: int) -> TorsionResult:

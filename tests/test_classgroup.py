@@ -7,6 +7,7 @@ from cuspidal.classgroup import (
     MAX_GENERIC_LEVELS,
     MAX_GENERIC_MODULUS_BITS,
     ClassGroupResult,
+    _banded_coordinates,
     _lattice_modulus,
     _unit_divisor_rows,
     class_group,
@@ -19,7 +20,14 @@ from cuspidal.classgroup import (
 )
 from cuspidal.curve import CuspDivisor, Level, level
 from cuspidal.errors import ScopeError
-from cuspidal.eta import check_modular_function, divisor, order_coefficient, pq_generators, prime_power_generators
+from cuspidal.eta import (
+    _divisor_rows,
+    check_modular_function,
+    divisor,
+    order_coefficient,
+    pq_generators,
+    prime_power_generators,
+)
 from cuspidal.linalg import (
     AbelianGroup,
     IntMatrix,
@@ -100,6 +108,47 @@ def test_class_group_matches_ling_structure():
         group = class_group(p, n).group
         assert group == ling_structure(p, n), (p, n)
         assert group == sum_zero_route(p, n), (p, n)
+
+
+def prime_power_rows(p, n):
+    """Divisor coefficient rows of `prime_power_generators(p, n)`."""
+    return _divisor_rows(Level.of({p: n}), [h.exponents for h in prime_power_generators(p, n)])
+
+
+def test_banded_coordinates_keep_the_cokernel_of_the_plain_ones():
+    for p in (5, 7, 11, 13):
+        for n in range(1, 14):
+            rows = prime_power_rows(p, n)
+            banded = _banded_coordinates(p, n, rows)
+            # at most three nonzero entries in every row but the last
+            assert all(len(x) - x.count(0) <= 3 for x in banded[:-1]), (p, n)
+            plain = cokernel([row[:-1] for row in rows], n)
+            assert cokernel(banded, n) == plain, (p, n)
+            assert class_group(p, n).group == plain, (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(5, 50), (7, 41), (5, 151)])
+def test_banded_class_group_matches_ling_structure_at_depth(p, n):
+    assert class_group(p, n).group == ling_structure(p, n)
+
+
+def test_a_step_that_is_not_unimodular_fails_the_comparison(monkeypatch):
+    # scaling a column by p multiplies the order by p, so the comparison
+    # with the plain coordinates can catch a wrong step
+    import cuspidal.classgroup as classgroup
+
+    banded = classgroup._banded_coordinates
+
+    def scaled(p, n, rows):
+        coordinates = banded(p, n, rows)
+        for x in coordinates:
+            x[0] *= p
+        return coordinates
+
+    monkeypatch.setattr(classgroup, "_banded_coordinates", scaled)
+    cases = [(p, n) for p in (5, 7) for n in range(1, 6)]
+    differs = [class_group(p, n).group != cokernel([row[:-1] for row in prime_power_rows(p, n)], n) for p, n in cases]
+    assert any(differs)
 
 
 def test_mazur_orders():

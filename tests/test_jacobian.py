@@ -110,6 +110,32 @@ def test_delta_cokernel():
     assert delta_cokernel(delta_matrix(11, 2)) == AbelianGroup((6,))
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (2, 3), (1, 1), (3, 3)])
+def test_delta_cokernel_checks_the_triangular_shape(i, j):
+    rows = [list(row) for row in closed_form_delta_matrix(5, 4)]
+    rows[i][j] += 1
+    with pytest.raises(AssertionError, match="lower triangular"):
+        delta_cokernel(IntMatrix(rows))
+
+
+def test_delta_cokernel_refuses_a_matrix_that_is_not_square():
+    for rows in ([[3, 0, 0], [1, 1, 0]], [[3, 0], [1, 1], [1, 2]]):
+        with pytest.raises(ValueError):
+            delta_cokernel(IntMatrix(rows))
+
+
+def test_delta_cokernel_matches_the_smith_form():
+    # any corner and any entries below the diagonal: Z/|corner|
+    rng = random.Random(2502)
+    for corner in (1, 2, 3, 4, 6, 12, -3, 30):
+        for n in range(1, 7):
+            rows = [[corner if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rng.randint(-50, 50)
+            assert delta_cokernel(IntMatrix(rows)) == cokernel(rows, n), (corner, rows)
+
+
 def test_delta_kernel_on_cuspidal_trivial():
     cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 6)] + DEEP_DELTA_CASES
     for p, n in cases:
@@ -181,6 +207,13 @@ def test_mu_contribution_examples():
     assert mu_contribution(3, 2) == AbelianGroup((2, 6))
     with pytest.raises(ScopeError):
         mu_contribution(2, 1)
+
+
+def test_mu_contribution_is_the_group_of_its_cyclic_orders():
+    for p in (5, 7, 11):
+        for n in range(1, 31):
+            orders = [2 * p ** min(i, n - i) for i in range(n)]
+            assert mu_contribution(p, n) == AbelianGroup.from_cyclic_orders(orders), (p, n)
 
 
 def torsion_closed_form(p, n):
