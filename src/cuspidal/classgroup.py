@@ -9,7 +9,7 @@ from .errors import InputError, ScopeError
 from .eta import (
     EtaQuotient,
     _divisor_rows,
-    order_coefficient,
+    _prime_power_orders,
     pq_generators,
     prime_power_generators,
 )
@@ -71,8 +71,8 @@ def _banded_coordinates(p: int, n: int, rows) -> list:
     p^j), the column steps clear eta(p^i tau) at columns i..n-2 and leave p^-i
     times a function of j before column i; so row i, from eta(p^(i+1)) /
     eta(p^(i-1)), less p times row i+1 is nonzero only at columns i-1, i+1, n-1."""
-    N = p**n
-    ratios = [order_coefficient(N, p**j, 1) // order_coefficient(N, p ** (j + 1), 1) for j in range(n - 1)]
+    orders = _prime_power_orders(p, n)(0)
+    ratios = [a // b for a, b in zip(orders, orders[1:n])]
     coordinates = [row[:-1] for row in rows]
     for x in coordinates:
         for j, c in enumerate(ratios):
@@ -102,8 +102,7 @@ def class_group_pq(p: int, q: int) -> ClassGroupResult:
 def order_matrices(p: int, n: int) -> OrderMatrices:
     """The matrices M (x24), U, V for X0(p^n)."""
     gens = prime_power_generators(p, n)
-    N = p**n
-    m24 = [[order_coefficient(N, p**j, p**i) for j in range(n + 1)] for i in range(n + 1)]
+    m24 = list(map(_prime_power_orders(p, n), range(n + 1)))
     degrees = list(Level.of({p: n}).degrees.values())
     u = [[degrees[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     v = [[dict(h.exponents).get(p**j, 0) for j in range(n + 1)] for h in gens] + [[1] * (n + 1)]

@@ -59,10 +59,10 @@ def _matrix_payload(matrix):
 
 
 def _inline(value) -> str:
-    """A JSON value on one line: strings bare, lists in brackets, anything
-    else as JSON."""
-    if isinstance(value, str):
-        return value
+    """A JSON value on one line: strings bare, ints as str writes them (the
+    text JSON gives them), lists in brackets, anything else as JSON."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
     if isinstance(value, list):
         return "[" + ", ".join(_inline(x) for x in value) + "]"
     return json.dumps(value, sort_keys=True)
@@ -88,6 +88,13 @@ def _render(report: dict, indent: str = "") -> list:
         else:
             lines.append(f"{indent}{key}: {_inline(value)}")
     return lines
+
+
+def _prime_power(args):
+    """(p, n) of a p^n command, within its scope and its ceiling (`eta.CEILINGS`)."""
+    from .eta import _require_ceiling
+    _require_ceiling(args.command, args.p, args.n)
+    return args.p, args.n
 
 
 def cmd_cusps(args):
@@ -132,7 +139,7 @@ def cmd_class_group(args):
     else:
         if args.p is None or args.n is None:
             raise ScopeError("class-group needs --p P --n K or --N N")
-        result = class_group(args.p, args.n)
+        result = class_group(*_prime_power(args))
     return {
         **_group_payload(result.group),
         "certified": result.certified,
@@ -143,7 +150,7 @@ def cmd_class_group(args):
 def cmd_matrices(args):
     from .classgroup import order_matrices
     from .verify import determinant_claims
-    mats = order_matrices(args.p, args.n)
+    mats = order_matrices(*_prime_power(args))
     claims = {
         name: {"value": _decimal(value), "expected": _decimal(expected), "ok": value == expected}
         for name, (value, expected) in determinant_claims(mats).items()
@@ -159,7 +166,7 @@ def cmd_matrices(args):
 def cmd_leading_coeffs(args):
     from .eta import prime_power_generators
     from .transform import cusp_expansion, numeric_leading_coefficient, sigma_matrix
-    p, n = args.p, args.n
+    p, n = _prime_power(args)
     gens = prime_power_generators(p, n)
     names = ["f"] + [f"g{k}" for k in range(n - 1)]
     rows = []
@@ -179,7 +186,7 @@ def cmd_leading_coeffs(args):
 
 def cmd_delta(args):
     from .jacobian import delta_cokernel, delta_matrix
-    matrix = delta_matrix(args.p, args.n)
+    matrix = delta_matrix(*_prime_power(args))
     return {
         "matrix": _matrix_payload(matrix),
         "cokernel": _group_payload(delta_cokernel(matrix)),
@@ -204,7 +211,7 @@ def cmd_torsion(args):
         }
     if args.p is None or args.n is None:
         raise ScopeError("torsion needs --p P --n K or --pq P Q")
-    result = generalized_torsion(args.p, args.n)
+    result = generalized_torsion(*_prime_power(args))
     return {
         **_group_payload(result.group),
         "conditional": result.conditional,

@@ -124,18 +124,10 @@ class CuspDivisor(record("CuspDivisor", "N coefficients")):
         return sum(c * degrees[d] for d, c in self.coefficients)
 
     def __str__(self):
-        if not self.coefficients:
+        # each term with its sign, " + 3*Q_5" or " - 1*Q_25", in one join; then unit
+        # coefficients drop their "1*", and the first term its " + " or the space after "-"
+        text = "".join([f" - {-c}*Q_{d}" if c < 0 else f" + {c}*Q_{d}" for d, c in self.coefficients])
+        text = text.replace(" 1*Q", " Q")
+        if not text:
             return "0"
-        parts = []
-        for d, c in self.coefficients:
-            if c == 1:
-                term = f"Q_{d}"
-            elif c == -1:
-                term = f"-Q_{d}"
-            else:
-                term = f"{c}*Q_{d}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return text[3:] if text[1] == "+" else "-" + text[3:]

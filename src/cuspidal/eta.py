@@ -53,8 +53,10 @@ class EtaQuotient(record("EtaQuotient", "N exponents")):
             match = _ETA_FACTOR.fullmatch(piece)
             if match is None:
                 raise InputError(f"cannot parse eta factor {piece!r}")
-            delta = int(match.group(1))
-            r = int(match.group(2)) if match.group(2) is not None else 1
+            try:
+                delta, r = int(match.group(1)), int(match.group(2) or 1)
+            except ValueError as exc:  # past the interpreter's limit on digits
+                raise InputError(f"a number in eta factor {piece[:20]}... is too long: {exc}") from None
             exponents[delta] = exponents.get(delta, 0) + r
         return cls.make(N, exponents)
 
@@ -143,17 +145,34 @@ def order_coefficient(N: int, d: int, delta: int) -> int:
     return order
 
 
+def _prime_power_orders(p: int, n: int):
+    """24M(p^n) a row at a time: row i lists 24 times the orders of
+    eta(p^i tau) at the cusp levels p^j, j = 0..n, p^(n - |i-j| - min(j, n-j))
+    as order_coefficient gives them (`classgroup._lattice_modulus`, step 1),
+    that is p^(below[j] - i) for j < i and p^(above[j] + i) for j >= i."""
+    powers = [p**k for k in range(n + 1)]
+    below = [n + j - min(j, n - j) for j in range(n + 1)]
+    above = [n - j - min(j, n - j) for j in range(n + 1)]
+    return lambda i: [powers[e - i] for e in below[:i]] + [powers[e + i] for e in above[i:]]
+
+
 def _orders24(lvl: Level, rows):
     """24 times the orders, level by level, of the eta quotients on X0(N) with
     the given sparse exponent rows ((delta, r), ...): r times the column of
-    order_coefficient(N, d, delta), summed over nonzero entries, each built once."""
+    order_coefficient(N, d, delta), or of _prime_power_orders on a prime
+    power, summed over nonzero entries, each built once."""
     N, levels = lvl.N, list(lvl.degrees)
+    if len(lvl.factors) == 1:
+        table, exponent = _prime_power_orders(*lvl.factors[0]), dict(zip(levels, lvl.valuations[0]))
+        column = lambda delta: table(exponent[delta])
+    else:
+        column = lambda delta: [order_coefficient(N, d, delta) for d in levels]
     columns = {}
     for row in rows:
         total = [0] * len(levels)
         for delta, r in row:
             if delta not in columns:
-                columns[delta] = [order_coefficient(N, d, delta) for d in levels]
+                columns[delta] = column(delta)
             total = [t + r * c for t, c in zip(total, columns[delta])]
         yield total
 
@@ -210,6 +229,35 @@ def _require_prime_power(p, n):
         raise InputError("n must be positive")
     if n >= MAX_CUSP_LEVELS:
         raise ScopeError(f"N = {p}^{n} has {n + 1} cusp levels; at most {MAX_CUSP_LEVELS} are supported")
+
+
+# The ceiling of each X0(p^n) command on a proxy for its cost, in n and the
+# bit length b of p, set so that the slowest input admitted at p = 5, 101 and
+# 2^61 - 1 took about 6 s of CPU (README): class-group prints n divisors of
+# n + 1 coefficients of up to n b bits; delta and torsion take n + 1
+# valuations of numbers of up to n b bits, then delta prints n^2 entries and
+# torsion an order of about n^2 b / 4 bits; leading-coeffs evaluates n^2 cusp
+# expansions at precisions of up to n b bits; matrices runs Bareiss on 24M,
+# n^3 steps on numbers of up to n^2 b bits. As is_prime certifies no p of
+# more than 82 bits, every number printed as one int (below p^(n+1)) then
+# has fewer than the 4300 digits of int-to-str.
+CEILINGS = {
+    "class-group": ("n^3 b", lambda n, b: n**3 * b, 3 * 10**8),
+    "delta": ("n^2 b", lambda n, b: n**2 * b, 12 * 10**6),
+    "torsion": ("n^2 b", lambda n, b: n**2 * b, 6 * 10**6),
+    "leading-coeffs": ("n^4 b", lambda n, b: n**4 * b, 8 * 10**8),
+    "matrices": ("n^6 b^2", lambda n, b: n**6 * b * b, 15 * 10**11),
+}
+
+
+def _require_ceiling(command: str, p, n):
+    """_require_prime_power, then ScopeError when (p, n) is past the
+    command's ceiling in CEILINGS."""
+    _require_prime_power(p, n)
+    b = p.bit_length()
+    proxy, cost, limit = CEILINGS[command]
+    if cost(n, b) > limit:
+        raise ScopeError(f"{command} at N = {p}^{n} is past its ceiling {proxy} <= {limit} (b = {b}, the bits of p)")
 
 
 def prime_power_generators(p: int, n: int) -> list:

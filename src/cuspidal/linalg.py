@@ -8,7 +8,7 @@ import itertools
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import InputError, ScopeError
 
@@ -355,10 +355,12 @@ class AbelianGroup(record("AbelianGroup", "invariant_factors")):
 
     @property
     def order(self) -> int:
-        result = 1
-        for f in self.invariant_factors:
-            result *= f
-        return result
+        """The product of the invariant factors, taken pairwise in a balanced
+        tree, so that no step multiplies a large product by a small factor."""
+        factors = list(self.invariant_factors) or [1]
+        while len(factors) > 1:
+            factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        return factors[0]
 
     @property
     def is_trivial(self) -> bool:

@@ -487,7 +487,9 @@ def numeric_leading_coefficient(
         loss = 2.0 ** (norm_loss - mp.mp.prec)
         value = complex(value)
     loss += sum(abs(r) for r, _ in factors) * 2.0 ** (8 - _ORACLE_PREC)
-    next_term = exp(-2 * pi * height * expansion.gap)
+    # with height >= 4, a gap of 30 or more makes the exponent below -2 pi 120 < -753,
+    # past exp's underflow to 0.0 (below -745.2), so the float of the gap is not formed
+    next_term = exp(-2 * pi * height * expansion.gap) if expansion.gap < 30 else 0.0
     # complex() rounds each part of the value to 53 bits
     estimate = abs(value) * (next_term + 2.0**-52 + loss) + 1e-40
     return NumericLeadingCoeff(value=value, error_estimate=estimate)

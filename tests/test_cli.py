@@ -8,10 +8,10 @@ import pytest
 from cuspidal import transform
 from cuspidal.classgroup import class_group, order_matrices
 from cuspidal.errors import InputError, ScopeError
-from cuspidal.eta import prime_power_generators
+from cuspidal.eta import CEILINGS, _require_ceiling, prime_power_generators
 from cuspidal.jacobian import delta_kernel_on_cuspidal, delta_matrix, generalized_torsion
 from cuspidal.verify import ling_structure
-from cuspidal.cli import COMMANDS, _decimal, main
+from cuspidal.cli import COMMANDS, _decimal, _inline, main
 
 
 # `--json` reports recorded before the text output was derived from them;
@@ -724,3 +724,71 @@ def test_every_subcommand_runs_from_a_fresh_process():
         modules = fresh_modules(name, *args)
         assert "cuspidal.cli" in modules, name
         assert not modules & {"dataclasses", "inspect"}, (name, sorted(modules))
+
+
+def test_a_number_past_the_digit_limit_in_an_expression_is_an_input_error(capsys):
+    """int() refuses a number of more than 4300 digits with ValueError, which
+    `EtaQuotient.parse` turns into a user error."""
+    expression = f"eta(5)^{'1' * 5000} * eta(1)^-6"
+    for command in ("eta-check", "divisor"):
+        code, out, err = run_cli(capsys, command, expression, "--level", "5")
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: a number in eta factor eta(5)^111"), command
+
+
+def test_leading_coeffs_past_the_float_range(capsys):
+    """p^n past the largest float: the oracle's next-term bound no longer
+    forms a float of the expansion gap (5^445 exited 1 with an OverflowError,
+    and is now past the command's ceiling)."""
+    code, out, err = run_cli(capsys, "leading-coeffs", "--p", "5", "--n", "445", "--json")
+    assert code in (0, 2) and not err.startswith("internal"), err
+    # (2^61 - 1)^17 > 2^1024 is within the ceiling: the oracle runs and agrees
+    code, out, err = run_cli(capsys, "leading-coeffs", "--p", str(2**61 - 1), "--n", "17", "--json")
+    assert (code, err) == (0, "")
+    residuals = [float(x) for row in json.loads(out)["rows"] for x in row["numeric_residual"]]
+    assert len(residuals) == 17 * 18 and max(residuals) < 1e-8
+
+
+# the p^n inputs that CI and the benchmark's workloads run
+ADMITTED = [
+    ("torsion", 5, 1000), ("delta", 5, 1000), ("torsion", 5, 200), ("delta", 5, 120),
+    ("class-group", 5, 150), ("leading-coeffs", 5, 40), ("leading-coeffs", 5, 60),
+    *(("class-group", p, n) for p, n in ((5, 50), (7, 40), (11, 30), (13, 30), (17, 24))),
+    *(("torsion", p, n) for p, n in ((5, 30), (7, 24), (11, 20))),
+    *(("delta", p, n) for p, n in ((5, 30), (7, 24), (13, 20))),
+    *(("leading-coeffs", p, n) for p, n in ((5, 10), (7, 8), (13, 6), (23, 4), (47, 3))),
+    ("matrices", 5, 40), ("matrices", 7, 40), ("matrices", 13, 40),
+]
+
+
+def test_the_ceilings_admit_what_ci_and_the_benchmark_run():
+    for command, p, n in ADMITTED:
+        _require_ceiling(command, p, n)
+
+
+def test_each_prime_power_command_just_past_its_ceiling_exits_2_at_once():
+    """At p = 5, the first n past each command's ceiling: a fresh process
+    exits 2 within 1 s of CPU, naming the ceiling; the n before is admitted."""
+    import itertools
+    import resource
+    import subprocess
+
+    assert set(CEILINGS) == {"class-group", "delta", "torsion", "leading-coeffs", "matrices"}
+    for command, (proxy, cost, limit) in CEILINGS.items():
+        n = next(n for n in itertools.count(1) if cost(n, 3) > limit)
+        _require_ceiling(command, 5, n - 1)
+        argv, env = cli_command(command, "--p", "5", "--n", str(n), "--json")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+        assert done.stderr == (
+            f"error: {command} at N = 5^{n} is past its ceiling {proxy} <= {limit} (b = 3, the bits of p)\n"
+        )
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1, command
+
+
+def test_inline_writes_ints_as_json_does():
+    for value in (0, -7, 10**600, True, False, None, 2.5):
+        assert _inline(value) == json.dumps(value), value
+    assert _inline([3, [True, "x"]]) == "[3, [true, x]]"

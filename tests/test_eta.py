@@ -8,6 +8,7 @@ from cuspidal.curve import CuspDivisor
 from cuspidal.errors import InputError, NotModularError, ScopeError
 from cuspidal.eta import (
     EtaQuotient,
+    _prime_power_orders,
     check_modular_function,
     divisor,
     order_at_cusp,
@@ -153,15 +154,35 @@ def test_divisor_matches_rational_ligozat_sum():
         assert [div.coefficient(d) for d in expected] == list(expected.values()), h
 
 
+def test_prime_power_orders_match_order_coefficient():
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 14):
+            N = p**n
+            row = _prime_power_orders(p, n)
+            for i in range(n + 1):
+                assert row(i) == [order_coefficient(N, p**j, p**i) for j in range(n + 1)], (p, n, i)
+
+
 def test_divisor_rejects_non_integral_order(monkeypatch):
     import cuspidal.eta as eta_module
 
+    # a prime power reads its orders from the table of 24M(p^n)
+    def shifted_table(p, n):
+        row = _prime_power_orders(p, n)
+        # 24 times the order of eta(5 tau) at level 1, plus one
+        return lambda i: [c + ((i, j) == (1, 0)) for j, c in enumerate(row(i))]
+
+    monkeypatch.setattr(eta_module, "_prime_power_orders", shifted_table)
+    with pytest.raises(AssertionError, match="non-integral order .* at level 1"):
+        divisor(EtaQuotient.make(5, {5: 6, 1: -6}))
+
+    # a level with two primes computes each order with order_coefficient
     def shifted(N, d, delta):
-        return order_coefficient(N, d, delta) + (d == 1 and delta == 5)
+        return order_coefficient(N, d, delta) + (d == 1 and delta == 13)
 
     monkeypatch.setattr(eta_module, "order_coefficient", shifted)
     with pytest.raises(AssertionError, match="non-integral order .* at level 1"):
-        divisor(EtaQuotient.make(5, {5: 6, 1: -6}))
+        divisor(pq_generators(13, 37)[0])
 
 
 def test_divisor_rejects_non_modular():

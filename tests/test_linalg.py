@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -848,3 +848,13 @@ def test_cokernel_modulo_a_lattice_exponent_matches_the_exact_one(monkeypatch):
     # a lattice that is m Z^k itself reduces to zero rows
     assert cokernel([[6, 0], [0, 6]], 2, 6) == AbelianGroup((6, 6))
     assert cokernel([], 2, 6) == AbelianGroup((6, 6))
+
+
+def test_abelian_group_order_is_the_product_of_its_factors():
+    rng = random.Random(26)
+    for k in list(range(8)) + [31, 64, 200]:
+        factors = [rng.randint(2, 10**6)]
+        for _ in range(k - 1):
+            factors.append(factors[-1] * rng.randint(1, 50))
+        group = AbelianGroup(factors[:k])
+        assert group.order == prod(factors[:k]), k

@@ -557,6 +557,21 @@ def test_leading_coefficients_numeric_certification():
                     assert numeric.error_estimate < 1e-8
 
 
+def test_oracle_takes_a_gap_past_the_float_range_as_no_next_term():
+    """At 5^445 the cusp expansions at the cusps of levels 1 and 5 have gaps
+    of about 2^1030, past the largest float; the next q-power is then below
+    exp's underflow, so the error estimate counts it as 0.0."""
+    p, n = 5, 445
+    h = prime_power_generators(p, n)[0]
+    for m in (0, 1):
+        sigma = sigma_matrix(p, n, m)
+        exp = cusp_expansion(h, sigma)
+        assert exp.gap > 2**1000
+        numeric = numeric_leading_coefficient(h, sigma, exp, height=8)
+        assert agrees_with_oracle(exp.leading.as_complex(), numeric.value), m
+        assert numeric.error_estimate < 1e-8
+
+
 def test_cusp_expansion_order_matches_eta_module():
     for p, n in [(5, 2), (5, 3), (13, 2), (7, 4)]:
         gens = prime_power_generators(p, n)
