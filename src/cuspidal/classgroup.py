@@ -2,7 +2,7 @@
 eta-unit divisors, together with the order matrices M, U, V whose determinant
 identities (`verify.determinant_claims`) certify the prime-power case."""
 
-from math import prod
+from math import gcd, prod
 
 from .curve import CuspDivisor, Level, cusp_degrees, level
 from .errors import InputError, ScopeError
@@ -62,24 +62,42 @@ def _class_group_result(lvl: Level, rows, certified: bool, modulus=None, coordin
     return ClassGroupResult(N=lvl.N, group=group, generator_divisors=generators, certified=certified)
 
 
-def _banded_coordinates(p: int, n: int, rows) -> list:
-    """Coordinates of the divisor rows of `prime_power_generators(p, n)` after
-    integer steps, each unimodular, so the cokernel is the same for any
-    integer c_j: column j -= c_j column j+1 (j = 0..n-2), c_j = 24M[1][p^j] /
-    24M[1][p^(j+1)] (p^2, p or 1), then row i -= p row i+1 (i = 2..n-2). As
-    24M(p^n) has entries p^(n-|i-j|-min(j, n-j)) (rows eta(p^i tau), columns
-    p^j), the column steps clear eta(p^i tau) at columns i..n-2 and leave p^-i
-    times a function of j before column i; so row i, from eta(p^(i+1)) /
-    eta(p^(i-1)), less p times row i+1 is nonzero only at columns i-1, i+1, n-1."""
-    orders = _prime_power_orders(p, n)(0)
-    ratios = [a // b for a, b in zip(orders, orders[1:n])]
-    coordinates = [row[:-1] for row in rows]
-    for x in coordinates:
-        for j, c in enumerate(ratios):
-            x[j] -= c * x[j + 1]
-    for x, y in zip(coordinates[2:], coordinates[3:]):
-        x[:] = [a - p * b for a, b in zip(x, y)]
-    return coordinates
+def _banded_coordinates(p: int, n: int) -> list:
+    """Rows with the cokernel of the coordinates of the divisors of
+    `prime_power_generators(p, n)`, in closed form; rows 2..n-2 are nonzero
+    only at columns i-1, i+1 and n-1.
+
+    Proof. M = 24M(p^n) (`eta._prime_power_orders`) has M[k][j] =
+    p^(n-|k-j|-a_j), a_j = min(j, n-j). The coordinates are e(M[1] - M[0])/24,
+    e = 24/gcd(p-1, 12), and (M[i+1] - M[i-1])/24 (i >= 1) without column n;
+    for n = 1, -e(p-1)/24. Let u = (p^2-1)/24, and L[k] be M[k] before column
+    k and 0 from it; as M[k][j] = p^(n-k+j-a_j) for j < k, p L[k+1] = L[k]
+    before column k. Two sets of unimodular steps keep the cokernel:
+    1. Column j -= c_j column j+1 (j = 0..n-2, old column j+1), c_j =
+       p^(1+a_(j+1)-a_j), turns M[k] into (1-p^2)L[k] before column n-1, as
+       M[k][j] - c_j M[k][j+1] = p^(n-a_j)(p^-|k-j| - p^(1-|k-j-1|)), and
+       keeps M[k][n-1] = p^k (k < n), p^(n-2) (k = n). So row 0 becomes
+       (-e u p^(n-1), 0, ..., e(p-1)/24), row 1 (-u p^(n-2), -u p^(n-2), 0,
+       ..., u) and row n-1 (row 1 if n = 2, so written last), -u(L[n] -
+       L[n-2]): (p^2-1)u M[n][j] before column n-2, then -u M[n][n-2], 0.
+    2. Row i -= p row i+1 (i = 2..n-2, old row i+1) gives -u(L[i+1] -
+       p L[i+2] + p L[i] - L[i-1]) before column n-1: 0 before column i-1,
+       -u p M[i][i-1] = -u M[i-1][i-1] at i-1, 0 at i, u p M[i+2][i+1] =
+       u M[i+1][i+1] at i+1 < n-1; and (p^(i+1) - p^(i-1) - p^(i+3) +
+       p^(i+1))/24 = -(p^2-1)u p^(i-1) at n-1, plus u M[n-1][n-1] if i = n-2,
+       as M[n][n-1] = p^(n-2). Here M[j][j] = p^(n-a_j) = p^max(j, n-j)."""
+    u, e, w = (p * p - 1) // 24, 24 // gcd(p - 1, 12), p * p - 1
+    if n == 1:
+        return [[-e * (p - 1) // 24]]
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][-1] = -e * u * p ** (n - 1), e * (p - 1) // 24
+    rows[1][:2], rows[1][-1] = [-u * p ** (n - 2)] * 2, u
+    for i in range(2, n - 1):
+        rows[i][i - 1], rows[i][-1] = -u * p ** max(i - 1, n - i + 1), -w * u * p ** (i - 1)
+        rows[i][i + 1] += u * p ** max(i + 1, n - i - 1)
+    last = _prime_power_orders(p, n)(n)
+    rows[-1] = [w * u * x for x in last[: n - 2]] + [-u * last[n - 2], 0]
+    return rows
 
 
 def class_group(p: int, n: int) -> ClassGroupResult:
@@ -88,7 +106,7 @@ def class_group(p: int, n: int) -> ClassGroupResult:
     gens = prime_power_generators(p, n)
     lvl = Level.of({p: n})
     rows = _divisor_rows(lvl, [h.exponents for h in gens])
-    return _class_group_result(lvl, rows, certified=True, coordinates=_banded_coordinates(p, n, rows))
+    return _class_group_result(lvl, rows, certified=True, coordinates=_banded_coordinates(p, n))
 
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:

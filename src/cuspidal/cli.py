@@ -54,10 +54,6 @@ def _group_payload(group):
     return {"invariant_factors": list(group.invariant_factors), "order": _decimal(group.order)}
 
 
-def _matrix_payload(matrix):
-    return [list(row) for row in matrix]
-
-
 def _inline(value) -> str:
     """A JSON value on one line: strings bare, ints as str writes them (the
     text JSON gives them), lists in brackets, anything else as JSON."""
@@ -156,9 +152,9 @@ def cmd_matrices(args):
         for name, (value, expected) in determinant_claims(mats).items()
     }
     return {
-        "m_times_24": _matrix_payload(mats.m24),
-        "u": _matrix_payload(mats.u),
-        "v": _matrix_payload(mats.v),
+        "m_times_24": [list(row) for row in mats.m24],
+        "u": [list(row) for row in mats.u],
+        "v": [list(row) for row in mats.v],
         "claims": claims,
     }
 
@@ -188,7 +184,7 @@ def cmd_delta(args):
     from .jacobian import delta_cokernel, delta_matrix
     matrix = delta_matrix(*_prime_power(args))
     return {
-        "matrix": _matrix_payload(matrix),
+        "matrix": [list(row) for row in matrix],
         "cokernel": _group_payload(delta_cokernel(matrix)),
         "uniformizers": UNIFORMIZER_NOTE,
     }
@@ -212,18 +208,19 @@ def cmd_torsion(args):
     if args.p is None or args.n is None:
         raise ScopeError("torsion needs --p P --n K or --pq P Q")
     result = generalized_torsion(*_prime_power(args))
+    mu_part = _group_payload(result.mu_part)  # result.group is the same group, rendered once
     return {
-        **_group_payload(result.group),
+        **mu_part,
         "conditional": result.conditional,
         "kernel": _group_payload(result.kernel),
-        "mu_part": _group_payload(result.mu_part),
+        "mu_part": mu_part,
     }
 
 
 def cmd_pq(args):
     from .classgroup import class_group_pq
     from .jacobian import pq_delta_kernel
-    from .transform import pq_leading_coefficients
+    from .transform import LeadingCoeff, pq_leading_coefficients
     from .verify import pq_closed_forms
     p, q = args.p, args.q
     group_result = class_group_pq(p, q)
@@ -232,7 +229,8 @@ def cmd_pq(args):
     a, b, c, order = pq_closed_forms(p, q)
     levels = (1, p, q, p * q)
     magnitudes = {
-        name: [str(_magnitude(table[name][level].leading)) for level in levels] for name in table
+        name: [str(LeadingCoeff.make(0, table[name][level].leading.half_exponents)) for level in levels]
+        for name in table
     }
     return {
         "a": _decimal(a),
@@ -247,11 +245,6 @@ def cmd_pq(args):
         "cusp_levels": list(levels),
         "leading_coefficient_magnitudes": magnitudes,
     }
-
-
-def _magnitude(lc):
-    from .transform import LeadingCoeff
-    return LeadingCoeff.make(0, dict(lc.half_exponents))
 
 
 def cmd_verify(args):

@@ -55,9 +55,10 @@ class EtaQuotient(record("EtaQuotient", "N exponents")):
                 raise InputError(f"cannot parse eta factor {piece!r}")
             try:
                 delta, r = int(match.group(1)), int(match.group(2) or 1)
+                exponents[delta] = total = exponents.get(delta, 0) + r
+                str(total)  # the report prints the sum of a repeated factor's exponents
             except ValueError as exc:  # past the interpreter's limit on digits
-                raise InputError(f"a number in eta factor {piece[:20]}... is too long: {exc}") from None
-            exponents[delta] = exponents.get(delta, 0) + r
+                raise InputError(f"a number in eta factor {piece[:20]}... or its sum is too long: {exc}") from None
         return cls.make(N, exponents)
 
     def __mul__(self, other):
@@ -96,12 +97,7 @@ class LigozatReport(record("LigozatReport", "weight_zero square_product sum_delt
 
     @property
     def ok(self) -> bool:
-        return (
-            self.weight_zero
-            and self.square_product
-            and self.sum_delta_mod_24
-            and self.sum_complement_mod_24
-        )
+        return all(self)
 
 
 def check_modular_function(h: EtaQuotient) -> LigozatReport:

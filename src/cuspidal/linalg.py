@@ -141,7 +141,7 @@ class SmithDecomposition(record("SmithDecomposition", "d p q")):
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transformation matrices: one nearest-quotient
     round and then extended-gcd steps on each pivot's row and column, then
-    one gcd/lcm step per pair of diagonal entries (`_smith_reduce`). Every
+    the sorted diagonal made a chain (`_smith_reduce`). Every
     choice is a fixed function of the input, so P and Q are deterministic."""
     nr, nc = a.nrows, a.ncols
     m = [list(row) for row in a]
@@ -189,8 +189,9 @@ def _smith_reduce(m, p=None, q=(), modulus=None):
     extended-gcd steps (`_gcd_steps`), each of which leaves at (t, t) a
     divisor of the pivot, a proper one unless the row and column clear. The
     first round keeps the entries small: without it, the transforms of the
-    coordinate matrix of C(5^20) grow from 92 to 427 bits. One gcd/lcm step
-    per pair of diagonal entries then gives the chain d1 | d2 | ...."""
+    coordinate matrix of C(5^20) grow from 92 to 427 bits. The nonzero
+    diagonal, with the rows of p and columns of q, is then sorted; unless
+    that makes it a chain d1 | d2 | ..., one gcd/lcm step per pair does."""
     nr, nc = len(m), len(m[0]) if m else 0
     p = [[] for _ in m] if p is None else p
     touched = set(range(nr))
@@ -238,18 +239,25 @@ def _smith_reduce(m, p=None, q=(), modulus=None):
         if m[t][t] < 0:
             m[t], p[t] = [-y for y in m[t]], [-y for y in p[t]]
     rank = sum(1 for t in range(min(nr, nc)) if m[t][t])
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            a, b = m[i][i], m[j][j]
-            if b % a:
-                g, u, v = _egcd(a, b)
-                m[i][i], m[j][j] = g, a // g * b
-                pi, pj = p[i], p[j]
-                p[i] = [u * x + v * y for x, y in zip(pi, pj)]
-                p[j] = [(a * y - b * x) // g for x, y in zip(pi, pj)]
-                for row in q:
-                    x, y = row[i], row[j]
-                    row[i], row[j] = x + y, (u * a * y - v * b * x) // g
+    order = sorted(range(rank), key=lambda t: m[t][t])
+    diagonal, p[:rank] = [m[t][t] for t in order], [p[t] for t in order]
+    for t, x in enumerate(diagonal):
+        m[t][t] = x
+    for row in q:
+        row[:rank] = [row[t] for t in order]
+    if all(b % a == 0 for a, b in zip(diagonal, diagonal[1:])):
+        return
+    for i, j in itertools.combinations(range(rank), 2):
+        a, b = m[i][i], m[j][j]
+        if b % a:
+            g, u, v = _egcd(a, b)
+            m[i][i], m[j][j] = g, a // g * b
+            pi, pj = p[i], p[j]
+            p[i] = [u * x + v * y for x, y in zip(pi, pj)]
+            p[j] = [(a * y - b * x) // g for x, y in zip(pi, pj)]
+            for row in q:
+                x, y = row[i], row[j]
+                row[i], row[j] = x + y, (u * a * y - v * b * x) // g
 
 
 def _unimodular(a: int, b: int) -> tuple:

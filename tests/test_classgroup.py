@@ -22,6 +22,7 @@ from cuspidal.curve import CuspDivisor, Level, level
 from cuspidal.errors import ScopeError
 from cuspidal.eta import (
     _divisor_rows,
+    _prime_power_orders,
     check_modular_function,
     divisor,
     order_coefficient,
@@ -115,16 +116,45 @@ def prime_power_rows(p, n):
     return _divisor_rows(Level.of({p: n}), [h.exponents for h in prime_power_generators(p, n)])
 
 
+def reference_banded_coordinates(p, n, rows):
+    """The derived route to `_banded_coordinates`: the coordinates of the
+    divisor rows `rows` of `prime_power_generators(p, n)`, then column j -=
+    c_j column j+1 (j = 0..n-2), c_j = 24M[0][p^j] / 24M[0][p^(j+1)], then
+    row i -= p row i+1 (i = 2..n-2), each step taking the old column or row."""
+    orders = _prime_power_orders(p, n)(0)
+    ratios = [a // b for a, b in zip(orders, orders[1:n])]
+    coordinates = [row[:-1] for row in rows]
+    for x in coordinates:
+        for j, c in enumerate(ratios):
+            x[j] -= c * x[j + 1]
+    for x, y in zip(coordinates[2:], coordinates[3:]):
+        x[:] = [a - p * b for a, b in zip(x, y)]
+    return coordinates
+
+
 def test_banded_coordinates_keep_the_cokernel_of_the_plain_ones():
     for p in (5, 7, 11, 13):
         for n in range(1, 14):
             rows = prime_power_rows(p, n)
-            banded = _banded_coordinates(p, n, rows)
+            banded = _banded_coordinates(p, n)
             # at most three nonzero entries in every row but the last
             assert all(len(x) - x.count(0) <= 3 for x in banded[:-1]), (p, n)
+            # rows 2..n-2 are nonzero only at columns i-1, i+1 and n-1
+            for i, x in enumerate(banded[2 : n - 1], 2):
+                assert {j for j, y in enumerate(x) if y} <= {i - 1, i + 1, n - 1}, (p, n, i)
             plain = cokernel([row[:-1] for row in rows], n)
             assert cokernel(banded, n) == plain, (p, n)
             assert class_group(p, n).group == plain, (p, n)
+
+
+BANDED_CASES = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 14)] + [(5, 150), (101, 60)]
+
+
+def test_banded_coordinates_match_the_derived_route():
+    """The closed form, entry by entry, against the integer steps on the
+    divisor rows that its docstring proves it equal to."""
+    for p, n in BANDED_CASES:
+        assert _banded_coordinates(p, n) == reference_banded_coordinates(p, n, prime_power_rows(p, n)), (p, n)
 
 
 @pytest.mark.parametrize("p, n", [(5, 50), (7, 41), (5, 151)])
@@ -139,8 +169,8 @@ def test_a_step_that_is_not_unimodular_fails_the_comparison(monkeypatch):
 
     banded = classgroup._banded_coordinates
 
-    def scaled(p, n, rows):
-        coordinates = banded(p, n, rows)
+    def scaled(p, n):
+        coordinates = banded(p, n)
         for x in coordinates:
             x[0] *= p
         return coordinates

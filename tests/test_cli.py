@@ -736,6 +736,16 @@ def test_a_number_past_the_digit_limit_in_an_expression_is_an_input_error(capsys
         assert err.startswith("error: a number in eta factor eta(5)^111"), command
 
 
+def test_an_exponent_sum_past_the_digit_limit_is_an_input_error(capsys):
+    """Each of ten factors eta(5)^(4300 nines) passes int(), but their sum,
+    which the report would print, has 4301 digits (it exited 1)."""
+    expression = " * ".join([f"eta(5)^{'9' * 4300}"] * 10)
+    for command in ("eta-check", "divisor"):
+        code, out, err = run_cli(capsys, command, expression, "--level", "25")
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: "), command
+
+
 def test_leading_coeffs_past_the_float_range(capsys):
     """p^n past the largest float: the oracle's next-term bound no longer
     forms a float of the expansion gap (5^445 exited 1 with an OverflowError,

@@ -648,6 +648,49 @@ def test_smith_chain_fix_cases_match_the_reference_with_unimodular_transforms():
             assert snf.d.diagonal() == expected[k]
 
 
+# diagonals, with a zero row below, that the elimination leaves as they are,
+# so that only the sorted finish orders them: falling, mixed, with zeros,
+# and one that sorting alone does not make a chain
+SORTED_FINISH_CASES = (
+    ([120, 24, 6, 2], [2, 6, 24, 120]),
+    ([6, 2, 60, 2, 12], [2, 2, 6, 12, 60]),
+    ([0, 30, 0, 6, 90], [6, 30, 90, 0, 0]),
+    ([4, 6, 9], [1, 6, 36]),
+    ([9, 6, 4], [1, 6, 36]),
+)
+
+
+@pytest.mark.parametrize("diagonal, expected", SORTED_FINISH_CASES)
+def test_sorted_finish_matches_the_reference(diagonal, expected):
+    k = len(diagonal)
+    rows = [[x if i == j else 0 for j in range(k)] for i, x in enumerate(diagonal)] + [[0] * k]
+    a = IntMatrix(rows)
+    snf = smith_normal_form(a)
+    snf_is_valid(a, snf)
+    assert snf.d == reference_smith_normal_form(a)[0]
+    assert snf.d.diagonal() == expected
+    if 0 in expected:
+        with pytest.raises(ValueError):
+            cokernel(rows, k)
+    else:
+        assert cokernel(rows, k).invariant_factors == tuple(x for x in expected if x > 1)
+
+
+def test_banded_class_group_cokernel_makes_no_extended_gcd(monkeypatch):
+    """Elimination leaves the banded coordinates of C(5^50) with a diagonal
+    that falls and then rises, and sorted it is a chain: no gcd/lcm step
+    runs (one per pair out of order took 442 extended gcds)."""
+    from cuspidal import linalg
+    from cuspidal.classgroup import _banded_coordinates
+    from cuspidal.verify import ling_structure
+
+    calls = []
+    egcd = linalg._egcd
+    monkeypatch.setattr(linalg, "_egcd", lambda a, b: calls.append((a, b)) or egcd(a, b))
+    assert cokernel(_banded_coordinates(5, 50), 50) == ling_structure(5, 50)
+    assert calls == []
+
+
 def test_smith_matches_the_chain_scanning_reference():
     rng = random.Random(20261018)
     for _ in range(300):
