@@ -160,10 +160,11 @@ def cmd_matrices(args):
 
 
 def cmd_leading_coeffs(args):
+    from .curve import Level
     from .eta import prime_power_generators
     from .transform import cusp_expansion, numeric_leading_coefficient, sigma_matrix
     p, n = _prime_power(args)
-    gens = prime_power_generators(p, n)
+    gens, lvl = prime_power_generators(p, n), Level.of({p: n})
     names = ["f"] + [f"g{k}" for k in range(n - 1)]
     rows = []
     etas = {}
@@ -172,7 +173,7 @@ def cmd_leading_coeffs(args):
         residuals = []
         for m in range(n + 1):
             sigma = sigma_matrix(p, n, m)
-            expansion = cusp_expansion(h, sigma)
+            expansion = cusp_expansion(h, sigma, lvl)
             numeric = numeric_leading_coefficient(h, sigma, expansion, height=8, etas=etas)
             symbolic.append(str(expansion.leading))
             residuals.append(f"{abs(expansion.leading.as_complex() - numeric.value):.11e}")

@@ -15,7 +15,7 @@ from .classgroup import class_group_pq, divisor_lattice_coordinates
 from .errors import InputError, ScopeError
 from .eta import divisor, prime_power_generators
 from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime, record
-from .transform import _prime_power_valuations, pq_leading_coefficients, sigma_matrix
+from .transform import _c_valuations, pq_leading_coefficients, sigma_matrix
 
 
 class TorsionResult(
@@ -43,16 +43,17 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     cusp, roots of unity discarded. Only p-parts count, and at the cusp of
     sigma the one of prod eta(delta z)^r has half-exponent -sum r v_p(c) over
     its factors, all with a square-root part, so each sigma gives the
-    v_p(c) of every eta(p^k z) at once (`_prime_power_valuations`).
+    v_p(c) of every eta(p^k z) at once (`transform._c_valuations`).
 
     Equals the lower-triangular matrix with diagonal (a', 1, ..., 1),
     a' = 12/gcd(p-1, 12), first column (a', 1, ..., 1) and interior
     entries 2.
     """
     gens = prime_power_generators(p, n)  # checks p before any valuation
-    # table[p^k][m] = v_p(c) for eta(p^k sigma_m z)
-    by_sigma = [_prime_power_valuations(p, n, sigma_matrix(p, n, m)) for m in range(n + 1)]
-    table = {p**k: row for k, row in enumerate(zip(*by_sigma))}
+    # table[p^k][m] = v_p(c) for eta(p^k sigma_m z), with no other prime in c
+    by_sigma = [_c_valuations(sigma_matrix(p, n, m), [(p, range(n + 1))]) for m in range(n + 1)]
+    assert all(rest == 1 for _, rest in by_sigma), f"c has a prime outside {(p,)}"
+    table = {p**k: row for k, row in enumerate(zip(*(rows[0] for rows, _ in by_sigma)))}
     rows = []
     for h in gens:
         assert sum(r for _, r in h.exponents) == 0, "square-root factors failed to cancel"

@@ -18,7 +18,7 @@ from math import atan2, exp, gcd, isqrt, lcm, log, log1p, pi
 
 import mpmath as mp
 
-from .curve import level
+from .curve import Level, level
 from .errors import ScopeError
 from .eta import EtaQuotient
 from .linalg import QmodZ, _egcd, record
@@ -194,42 +194,31 @@ class CuspExpansion(record("CuspExpansion", "leading order gap")):
     __slots__ = ()
 
 
-def _eta_factor(delta: int, sigma: SigmaMatrix, primes, cofactor: int = 1) -> tuple:
-    """(gamma, a, b, c, valuations) for the factor eta(delta * sigma z) =
-    eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w), m from
-    Weber's formula, w = (a z + b)/c, no square root if c_gamma = 0, and
-    eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...). `valuations` are the
-    exponents of `primes` in c, for a factor with a square root, and None
-    for one without; c's part prime to `primes` must be `cofactor`.
+def _c_valuations(sigma: SigmaMatrix, ks) -> tuple:
+    """(rows, F) for the factors eta(delta sigma z), sigma.c != 0, with c the
+    lower right entry of `_upper_triangularize(delta sigma.a, delta sigma.b,
+    sigma.c, sigma.d)`. For each (l, k_list) in ks, a prime l of N and the
+    v_l(delta) of some delta | N, rows lists v_l(c) = v_l(delta) + beta -
+    min(v_l(delta) + alpha, gamma), where alpha, gamma and beta are v_l of
+    sigma.a, sigma.c and det(sigma), read once per sigma; F is c's part
+    prime to the primes l.
 
-    Proof that only the primes of N count: c = delta det(sigma) / gcd(delta
-    sigma.a, sigma.c) and delta | N, so for every delta c's part prime to N
-    is the part F of det(sigma) / gcd(sigma.a, sigma.c) prime to N. Every
-    factor has a square root, or none (exactly when sigma.c != 0), so F
-    enters a weight-zero quotient as F^(-sum r / 2) = 1."""
-    gamma, a, b, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
-    if gamma[2] == 0:
-        return gamma, a, b, c, None
-    rest, valuations = c, []
-    for prime in primes:
-        v, rest = _valuation(rest, prime)
-        valuations.append(v)
-    assert rest == cofactor, f"{c} has a prime outside {primes}"
-    return gamma, a, b, c, valuations
-
-
-def _prime_power_valuations(p: int, n: int, sigma: SigmaMatrix) -> list:
-    """[v_p(c) for eta(p^k sigma z), k = 0..n], c = p^k det(sigma) / gcd(p^k
-    sigma.a, sigma.c) as in `_eta_factor`. With sigma.a = p^alpha a', sigma.c
-    = p^gamma c', det(sigma) = p^beta D', p dividing none of a', c', D' (alpha
-    = gamma, a' = 0 if sigma.a = 0), c = p^(k + beta - min(k + alpha, gamma))
-    D' / gcd(a', c'): the part prime to p, checked to be 1, is the same for all k."""
-    assert sigma.c, "every uniformizer of X0(p^n) moves infinity"
-    gamma, c_rest = _valuation(sigma.c, p)
-    alpha, a_rest = _valuation(sigma.a, p) if sigma.a else (gamma, 0)
-    beta, d_rest = _valuation(sigma.det, p)
-    assert d_rest == gcd(a_rest, c_rest), f"{sigma.det // gcd(sigma.a, sigma.c)} has a prime outside {(p,)}"
-    return [k + beta - min(k + alpha, gamma) for k in range(n + 1)]
+    Proof: c = delta det(sigma) / gcd(delta sigma.a, sigma.c), and v_l(gcd(x,
+    y)) = min(v_l(x), v_l(y)), with alpha = gamma serving for sigma.a = 0 as
+    v_l(delta) >= 0. With a', c', D' the parts of sigma.a, sigma.c, det(sigma)
+    prime to the l (a' = 0 if sigma.a = 0), c's part prime to them is delta'
+    D' / gcd(delta' a', c') for delta's part delta'. When the l are all the
+    primes of N, delta' = 1 as delta | N, so F = D' / gcd(a', c') is the same
+    for every delta. Every factor has a square root, or none (exactly when
+    sigma.c != 0), so F enters a weight-zero quotient as F^(-sum r / 2) = 1."""
+    assert sigma.c, "no eta factor has a square-root part where sigma.c = 0"
+    a_rest, c_rest, d_rest, rows = sigma.a, sigma.c, sigma.det, []
+    for ell, k_list in ks:
+        gamma, c_rest = _valuation(c_rest, ell)
+        alpha, a_rest = _valuation(a_rest, ell) if a_rest else (gamma, 0)
+        beta, d_rest = _valuation(d_rest, ell)
+        rows.append([k + beta - min(k + alpha, gamma) for k in k_list])
+    return rows, d_rest // gcd(a_rest, c_rest)
 
 
 def _valuation(n: int, p: int) -> tuple:
@@ -241,33 +230,32 @@ def _valuation(n: int, p: int) -> tuple:
     return (2 * v + 2, rest // p) if rest % p == 0 else (2 * v + 1, rest)
 
 
-def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, primes: tuple = None) -> CuspExpansion:
+def cusp_expansion(h: EtaQuotient, sigma: SigmaMatrix, lvl: Level = None) -> CuspExpansion:
     """Exact leading coefficient and order of h along the uniformizer of sigma.
-    `primes` are those of h.N, `level(h.N).primes` when not given; c's part
-    prime to them cancels (`_eta_factor`).
+    `lvl` is the record of h.N, `level(h.N)` when not given: `_c_valuations`
+    reads v_l(c) for its primes l, and c's part prime to N cancels.
 
     Requires weight zero (the exponents of h must sum to 0) so that the
     square-root factors of the transformation law cancel.
     """
     if sum(r for _, r in h.exponents) != 0:
         raise ValueError("leading coefficients need a weight-zero eta quotient")
-    primes = primes or level(h.N).primes
-    cofactor = sigma.det // gcd(sigma.a, sigma.c)
-    for prime in primes:
-        cofactor = _valuation(cofactor, prime)[1]
-    half = {}
+    lvl = lvl or level(h.N)
+    assert lvl.N == h.N, f"the record of level {lvl.N} is not that of h, of level {h.N}"
     sqrt_balance = 0
     factors = []
     for delta, r in h.exponents:
-        gamma, a, b, c, valuations = _eta_factor(delta, sigma, primes, cofactor)
-        if valuations is not None:
-            # sqrt((c_gamma z + d_gamma)/i) = sqrt(common angle) / sqrt(c);
-            # the common-angle parts cancel once the weights balance
-            for prime, v in zip(primes, valuations):
-                half[prime] = half.get(prime, 0) - r * v
+        # eta(delta sigma z) = eta(gamma w) = e(m/24) sqrt((c_gamma w + d_gamma)/i) eta(w), w = (a z + b)/c, with m
+        # from Weber's formula and eta(w) = e(b/(24c)) q^(a/(24c)) (1 + ...); the root, where c_gamma != 0, is
+        # sqrt((sigma.c z + sigma.d)/i) / sqrt(c), whose common parts cancel once the weights balance
+        gamma, a, b, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
+        if gamma[2]:
             sqrt_balance += r
         factors.append((r, _multiplier24(*gamma), a, b, c))
     assert sqrt_balance == 0, "square-root factors failed to cancel"
+    ks = [(ell, [_valuation(d, ell)[0] for d, _ in h.exponents]) for ell in lvl.primes]
+    rows = _c_valuations(sigma, ks)[0] if sigma.c else ()  # a square-root part in every factor, or in none
+    half = {ell: -sum(r * v for (_, r), v in zip(h.exponents, row)) for ell, row in zip(lvl.primes, rows)}
     # phase, order and gap as integers over the one denominator lcm(c)
     common = lcm(*(c for *_, c in factors))
     phase = sum(r * (m * common + b * (common // c)) for r, m, _, b, c in factors)
@@ -288,11 +276,12 @@ def pq_leading_coefficients(p: int, q: int) -> dict:
     from .eta import pq_generators
 
     gens = pq_generators(p, q)
+    lvl = Level.of({p: 1, q: 1})
     table = {name: {} for name in ("f1", "f2", "f3")}
     for d in (1, p, q, p * q):
         sigma = pq_sigma_matrix(p, q, d)
         for name, h in zip(table, gens):
-            table[name][d] = cusp_expansion(h, sigma, (p, q))
+            table[name][d] = cusp_expansion(h, sigma, lvl)
     return table
 
 

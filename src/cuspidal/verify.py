@@ -16,10 +16,11 @@ from operator import mul
 import mpmath as mp
 
 from .classgroup import OrderMatrices, class_group, class_group_pq, order_matrices
-from .curve import cusp_degrees
+from .curve import Level
 from .errors import InputError
 from .eta import (
     EtaQuotient,
+    _prime_power_orders,
     _require_prime_power,
     check_modular_function,
     divisor,
@@ -124,7 +125,7 @@ def determinant_claims(mats: OrderMatrices) -> dict:
     return {
         "abs_det_v": (abs(mats.v.det()), 24 * (n + 1) // gcd(p - 1, 12)),
         "det_m_times_24": (mats.m24.det(), 24**n * (a * b) ** n * p**exponent),
-        "det_u": (mats.u.det(), prod(cusp_degrees(p**n).values())),
+        "det_u": (mats.u.det(), prod(Level.of({p: n}).degrees.values())),
         "vmu_last_row_sum": (sum(map(mul, mats.v.row(n), weighted)), (n + 1) * p ** (n - 1) * (p + 1)),
     }
 
@@ -176,12 +177,12 @@ def check_leading_coefficient_tables() -> CheckResult:
     etas = {}
     for p in (5, 13, 23, 47):
         for n in (2, 3):
-            gens = prime_power_generators(p, n)
+            gens, lvl = prime_power_generators(p, n), Level.of({p: n})
             for idx, h in enumerate(gens):
                 gen_index = -1 if idx == 0 else idx - 1
                 for m in range(n + 1):
                     sigma = sigma_matrix(p, n, m)
-                    expansion = cusp_expansion(h, sigma)
+                    expansion = cusp_expansion(h, sigma, lvl)
                     expected = closed_form_generator_lc(p, n, gen_index, m)
                     if expansion.leading != expected:
                         return CheckResult(
@@ -337,16 +338,13 @@ def check_property_suites() -> CheckResult:
         if divisor(h).degree() != 0:
             return CheckResult("property-suites", False, f"degree nonzero (N={N})")
         produced += 1
-    # closed-form prime-power cusp orders against the general formula
+    # prime-power cusp orders from the closed-form table of 24M(p^n) against the general formula
     for p in (5, 7, 11, 13):
         for n in range(1, 7):
+            table = _prime_power_orders(p, n)
             for k in range(n + 1):
                 h = EtaQuotient.make(p**n, {p**k: 1})
-                for m in range(n + 1):
-                    if 2 * m >= n:
-                        expected = p**k if k <= m else p ** (2 * m - k)
-                    else:
-                        expected = p ** (n - k) if m <= k else p ** (n + k - 2 * m)
+                for m, expected in enumerate(table(k)):
                     if order_at_cusp(h, p**m) != Fraction(expected, 24):
                         return CheckResult(
                             "property-suites", False, f"order mismatch at ({p},{n},{k},{m})"

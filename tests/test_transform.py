@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from cuspidal import transform
+from cuspidal.curve import Level, level
 from cuspidal.errors import ScopeError
 from cuspidal.eta import EtaQuotient, order_at_cusp, pq_generators, prime_power_generators
 from cuspidal.linalg import QmodZ, factorize
@@ -13,13 +14,12 @@ from cuspidal.transform import (
     CuspExpansion,
     LeadingCoeff,
     SigmaMatrix,
+    _c_valuations,
     _eta_exact,
-    _eta_factor,
     _eta_factor_count,
     _eta_product,
     _inverse_sqrt,
     _oracle_point,
-    _prime_power_valuations,
     _to_fundamental_domain,
     _upper_triangularize,
     _valuation,
@@ -177,7 +177,10 @@ def test_upper_triangularize_gives_the_unique_normal_form():
         checked += 1
 
 
-def test_cusp_expansion_matches_fraction_reference():
+def expansion_cases():
+    """(h, sigma) pairs: the p^n generators at every sigma_m, the pq generators
+    at the four cusps of six pairs, and 2000 seeded random weight-zero
+    quotients of level N <= 3000 at random sigma of positive determinant."""
     cases = []
     for p in (5, 7, 13, 23, 47, 257):
         for n in range(1, 7):
@@ -186,16 +189,10 @@ def test_cusp_expansion_matches_fraction_reference():
     for p, q in ((13, 37), (13, 61), (37, 61), (13, 73), (13, 97), (13, 1093)):
         sigmas = [pq_sigma_matrix(p, q, level) for level in (1, p, q, p * q)]
         cases += [(h, sigma) for h in pq_generators(p, q) for sigma in sigmas]
-    assert len(cases) == 6 * sum(n * (n + 1) for n in range(1, 7)) + 6 * 3 * 4
-    for h, sigma in cases:
-        got, expected = cusp_expansion(h, sigma), reference_cusp_expansion(h, sigma)
-        assert (got.leading, got.order, got.gap) == (expected.leading, expected.order, expected.gap), (h, sigma)
-    # general sigma: the part of c prime to N is left unfactored because it
-    # cancels (_eta_factor); the reference factors c in full, so a foreign
-    # prime that failed to cancel would show
+    fixed = len(cases)
+    assert fixed == 6 * sum(n * (n + 1) for n in range(1, 7)) + 6 * 3 * 4
     rng = random.Random(2770)
-    checked = 0
-    while checked < 2000:
+    while len(cases) < fixed + 2000:
         N = rng.randint(2, 3000)
         deltas = sorted_divisors(N)
         chosen = rng.sample(deltas, min(rng.randint(2, 5), len(deltas)))
@@ -203,44 +200,90 @@ def test_cusp_expansion_matches_fraction_reference():
         sigma = [rng.randint(-40, 40) for _ in range(4)]
         if sum(exponents) == 0 or sigma[0] * sigma[3] - sigma[1] * sigma[2] <= 0:
             continue
-        h, sigma = EtaQuotient.make(N, dict(zip(chosen, [-sum(exponents), *exponents]))), SigmaMatrix(*sigma)
+        cases.append((EtaQuotient.make(N, dict(zip(chosen, [-sum(exponents), *exponents]))), SigmaMatrix(*sigma)))
+    return cases
+
+
+def test_cusp_expansion_matches_fraction_reference():
+    # for a general sigma the part of c prime to N is left unfactored because
+    # it cancels (_c_valuations); the reference factors c in full, so a
+    # foreign prime that failed to cancel would show
+    for h, sigma in expansion_cases():
         got, expected = cusp_expansion(h, sigma), reference_cusp_expansion(h, sigma)
         assert (got.leading, got.order, got.gap) == (expected.leading, expected.order, expected.gap), (h, sigma)
-        checked += 1
+
+
+def reference_c_valuations(delta, sigma, primes):
+    """([v_l(c) for l in primes], c's part prime to them) for the factor
+    eta(delta sigma z) with c from `_upper_triangularize`, by dividing c by
+    each prime, as cusp expansions did before `_c_valuations`; None for a
+    factor without a square-root part."""
+    gamma, _, _, c = _upper_triangularize(delta * sigma.a, delta * sigma.b, sigma.c, sigma.d)
+    if gamma[2] == 0:
+        return None
+    valuations = []
+    for prime in primes:
+        v, c = reference_valuation(c, prime)
+        valuations.append(v)
+    return valuations, c
+
+
+def test_c_valuations_match_the_division_reference():
+    counts = {"sigma.a = 0": 0, "sigma.c = 0": 0}
+    for h, sigma in expansion_cases():
+        primes = level(h.N).primes
+        expected = [reference_c_valuations(delta, sigma, primes) for delta, _ in h.exponents]
+        if not sigma.c:
+            # no factor has a square-root part, and there is nothing to read
+            assert expected == [None] * len(expected)
+            with pytest.raises(AssertionError, match="square-root part"):
+                _c_valuations(sigma, [(ell, [0]) for ell in primes])
+            counts["sigma.c = 0"] += 1
+            continue
+        counts["sigma.a = 0"] += sigma.a == 0
+        ks = [(ell, [reference_valuation(delta, ell)[0] for delta, _ in h.exponents]) for ell in primes]
+        rows, rest = _c_valuations(sigma, ks)
+        # one row per prime, one entry per factor; c's part prime to N is the
+        # same for every factor
+        assert [list(column) for column in zip(*rows)] == [v for v, _ in expected], (h, sigma)
+        assert [r for _, r in expected] == [rest] * len(expected), (h, sigma)
+    assert counts == {"sigma.a = 0": 25, "sigma.c = 0": 20}, counts
 
 
 def test_cusp_expansion_refuses_primes_that_leave_a_varying_part():
-    # with the primes (13,) of only part of N = 481, c's part prime to them
-    # takes the powers of 37 in c, which vary with delta at the cusps 1 and
-    # 13; at 37 and 481 no c has the prime 37, and nothing changes
+    # the record of 13 has only part of the primes of N = 481: c's part prime
+    # to 13 would take the powers of 37 in c, which vary with delta at the
+    # cusps 1 and 13, so a record of another level is refused at every cusp
     for m in (1, 13, 37, 481):
         sigma = pq_sigma_matrix(13, 37, m)
         for h in pq_generators(13, 37):
-            if m in (1, 13):
-                with pytest.raises(AssertionError, match="prime outside"):
-                    cusp_expansion(h, sigma, (13,))
-            else:
-                assert cusp_expansion(h, sigma, (13,)) == cusp_expansion(h, sigma, (13, 37))
+            with pytest.raises(AssertionError, match="not that of h"):
+                cusp_expansion(h, sigma, Level.of({13: 1}))
+            assert cusp_expansion(h, sigma, Level.of({13: 1, 37: 1})) == cusp_expansion(h, sigma)
 
 
 def test_prime_power_valuations_match_the_eta_factors():
     def reference(p, n, sigma):
-        return [_eta_factor(p**k, sigma, (p,))[4][0] for k in range(n + 1)]
+        return [reference_c_valuations(p**k, sigma, (p,)) for k in range(n + 1)]
+
+    def valuations(p, n, sigma):
+        (row,), rest = _c_valuations(sigma, [(p, range(n + 1))])
+        return [([v], rest) for v in row]
 
     for p in (5, 7, 13, 257):
         for n in range(1, 13):
             for m in range(n + 1):
                 sigma = sigma_matrix(p, n, m)
-                assert _prime_power_valuations(p, n, sigma) == reference(p, n, sigma), (p, n, m)
+                assert valuations(p, n, sigma) == reference(p, n, sigma), (p, n, m)
     # sigma.a = 0, where gcd(0, sigma.c) = |sigma.c|; a prime outside p in
     # det(sigma) that gcd(a', c') cancels
     for sigma in (SigmaMatrix(0, -1, 5**3, 5), SigmaMatrix(3, 0, 3 * 5**2, 1), SigmaMatrix(-6 * 5, -1, 3 * 5**4, 0)):
-        assert _prime_power_valuations(5, 8, sigma) == reference(5, 8, sigma), sigma
-    # a prime outside p in det(sigma) that does not cancel
+        assert valuations(5, 8, sigma) == reference(5, 8, sigma), sigma
+    # a prime outside p in det(sigma) that does not cancel: c's part prime to
+    # p is 2 for every k, which delta_matrix refuses
     for sigma in (SigmaMatrix(2, 0, 5**2, 1), SigmaMatrix(0, -2, 5**3, 7)):
-        for valuations in (_prime_power_valuations, reference):
-            with pytest.raises(AssertionError, match="prime outside"):
-                valuations(5, 8, sigma)
+        assert valuations(5, 8, sigma) == reference(5, 8, sigma), sigma
+        assert {rest for _, rest in valuations(5, 8, sigma)} == {2}, sigma
 
 
 def test_eta_transformation_identity_numeric():
@@ -427,9 +470,9 @@ def test_eta_exact_matches_the_mpc_reference_at_rational_points():
             assert abs(value - expected) <= mp.ldexp(abs(expected), 4 - prec) * (1 + mp.ldexp(1, -20)), (X, Y, S)
 
 
-def test_pq_path_factors_nothing(monkeypatch, capsys):
-    # the pq path has the primes of N from its inputs, and the part of
-    # det(sigma) prime to N cancels (_eta_factor)
+def factorizations(monkeypatch, argvs) -> list:
+    """The numbers that `factorize` is called on while `cuspidal.cli.main`
+    runs each argv, starting from an empty cache of level records."""
     import sys
 
     from cuspidal import curve
@@ -440,11 +483,24 @@ def test_pq_path_factors_nothing(monkeypatch, capsys):
         if hasattr(module, "factorize"):
             monkeypatch.setattr(module, "factorize", lambda n, f=module.factorize: calls.append(n) or f(n))
     curve.level.cache_clear()
-    assert main(["pq", "--p", "13", "--q", "37", "--json"]) == 0
-    assert main(["torsion", "--pq", "13", "37", "--json"]) == 0
+    for argv in argvs:
+        assert main([*argv, "--json"]) == 0, argv
+    return calls
+
+
+def test_pq_path_factors_nothing(monkeypatch, capsys):
+    # the pq path has the primes of N from its inputs, and the part of
+    # det(sigma) prime to N cancels (_c_valuations)
+    assert factorizations(monkeypatch, [["pq", "--p", "13", "--q", "37"], ["torsion", "--pq", "13", "37"]]) == []
     capsys.readouterr()
-    assert calls == []
     assert not hasattr(transform, "factorize")
+
+
+def test_prime_power_paths_factor_nothing(monkeypatch, capsys):
+    # each of these p^n commands builds the level record from {p: n}
+    argvs = [[command, "--p", "5", "--n", "3"] for command in ("class-group", "delta", "leading-coeffs", "matrices")]
+    assert factorizations(monkeypatch, argvs) == []
+    capsys.readouterr()
 
 
 def test_inverse_sqrt_is_the_principal_branch():
