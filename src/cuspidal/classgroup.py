@@ -4,7 +4,7 @@ identities (`verify.determinant_claims`) certify the prime-power case."""
 
 from math import gcd, prod
 
-from .curve import CuspDivisor, Level, cusp_degrees, level
+from .curve import CuspDivisor, Level, level
 from .errors import InputError, ScopeError
 from .eta import (
     EtaQuotient,
@@ -41,15 +41,17 @@ class OrderMatrices(record("OrderMatrices", "p n m24 u v")):
     __slots__ = ()
 
 
-def divisor_lattice_coordinates(E: CuspDivisor):
+def divisor_lattice_coordinates(E: CuspDivisor, lvl=None):
     """Coordinates of a degree-zero cuspidal divisor in the basis
     Q_d - deg(Q_d) * Q_N over proper divisors d of N (ascending): since Q_N
     is rational, they are the coefficients of E at those cusps. C(N) is the
-    cokernel of the matrix of these rows over a basis of the unit lattice."""
-    if E.degree():
+    cokernel of the matrix of these rows over a basis of the unit lattice;
+    `lvl` is the record of E.N, taken from curve.level when not given."""
+    degrees = (lvl or level(E.N)).degrees
+    if sum(c * degrees[d] for d, c in E.coefficients):
         raise ValueError("expected a degree-zero divisor")
     coeffs = dict(E.coefficients)
-    return [coeffs.get(d, 0) for d in cusp_degrees(E.N)][:-1]
+    return [coeffs.get(d, 0) for d in degrees][:-1]
 
 
 def _class_group_result(lvl: Level, rows, certified: bool, modulus=None, coordinates=None) -> ClassGroupResult:
@@ -102,11 +104,13 @@ def _banded_coordinates(p: int, n: int) -> list:
 
 def class_group(p: int, n: int) -> ClassGroupResult:
     """C(p^n) for p >= 5 prime, as the quotient of the cuspidal divisor
-    lattice by the lattice of eta-unit divisors, in banded coordinates."""
+    lattice by the lattice of eta-unit divisors, in banded coordinates with
+    the columns reversed: the small entries e(p-1)/24 and u come first, so
+    each Smith pivot starts at its least entry (about half the rounds)."""
     gens = prime_power_generators(p, n)
     lvl = Level.of({p: n})
     rows = _divisor_rows(lvl, [h.exponents for h in gens])
-    return _class_group_result(lvl, rows, certified=True, coordinates=_banded_coordinates(p, n))
+    return _class_group_result(lvl, rows, certified=True, coordinates=[row[::-1] for row in _banded_coordinates(p, n)])
 
 
 def class_group_pq(p: int, q: int) -> ClassGroupResult:
@@ -131,23 +135,20 @@ def _exponent_rows(lvl: Level) -> list:
     """Hermite basis of the lattice of exponent vectors, over the divisors of
     N in increasing order, that satisfy all four Ligozat conditions on X0(N).
 
-    The weight-zero condition is solved exactly; the two mod-24 congruences
-    and the even-valuation conditions (one per prime dividing N) are imposed
-    by a congruence-kernel computation.
+    The weight-zero condition is solved exactly; the even-valuation
+    conditions (one per prime dividing N), cheaper to impose first, and the
+    two mod-24 congruences go to one congruence-kernel computation.
     """
     N, deltas = lvl.N, list(lvl.degrees)
     if N < 2:
         raise InputError("N must be at least 2")
     # in the basis e_i - e_last of the weight-zero sublattice, a weight row w
     # becomes w_i - w_last, and coordinates x give the exponents (x, -sum x)
-    rows = []
-    moduli = []
+    rows = [[(w - weights[-1]) % 2 for w in weights[:-1]] for weights in lvl.valuations]
+    moduli = [2] * len(rows)
     for weights in ([d % 24 for d in deltas], [(N // d) % 24 for d in deltas]):
         rows.append([w - weights[-1] for w in weights[:-1]])
         moduli.append(24)
-    for weights in lvl.valuations:
-        rows.append([(w - weights[-1]) % 2 for w in weights[:-1]])
-        moduli.append(2)
     # the kernel comes in Hermite form, and the appended column is a linear
     # function of the others, so the rows stay a Hermite basis
     return [x + [-sum(x)] for x in congruence_kernel(rows, moduli)]

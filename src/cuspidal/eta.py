@@ -165,12 +165,13 @@ def _orders24(lvl: Level, rows):
         column = lambda delta: [order_coefficient(N, d, delta) for d in levels]
     columns = {}
     for row in rows:
-        total = [0] * len(levels)
+        total = None
         for delta, r in row:
             if delta not in columns:
                 columns[delta] = column(delta)
-            total = [t + r * c for t, c in zip(total, columns[delta])]
-        yield total
+            col = columns[delta]
+            total = [r * c for c in col] if total is None else [t + r * c for t, c in zip(total, col)]
+        yield total or [0] * len(levels)
 
 
 def order_at_cusp(h: EtaQuotient, d: int) -> Fraction:
@@ -209,9 +210,10 @@ def _divisor_rows(lvl: Level, rows) -> list:
     return out
 
 
-def divisor(h: EtaQuotient) -> CuspDivisor:
-    """Divisor of a Ligozat-valid eta quotient, with integer coefficients."""
-    lvl = level(h.N)
+def divisor(h: EtaQuotient, lvl=None) -> CuspDivisor:
+    """Divisor of a Ligozat-valid eta quotient, with integer coefficients;
+    `lvl` is the record of h.N, taken from curve.level when not given."""
+    lvl = lvl or level(h.N)
     (coeffs,) = _divisor_rows(lvl, [h.exponents])
     return CuspDivisor.make(h.N, dict(zip(lvl.degrees, coeffs)))
 

@@ -12,6 +12,7 @@ cuspidal divisor class group.
 from math import gcd
 
 from .classgroup import class_group_pq, divisor_lattice_coordinates
+from .curve import Level
 from .errors import InputError, ScopeError
 from .eta import divisor, prime_power_generators
 from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime, record
@@ -57,7 +58,8 @@ def delta_matrix(p: int, n: int) -> IntMatrix:
     rows = []
     for h in gens:
         assert sum(r for _, r in h.exponents) == 0, "square-root factors failed to cancel"
-        half = [-sum(terms) for terms in zip(*([r * v for v in table[delta]] for delta, r in h.exponents))]
+        (d0, r0), (d1, r1) = h.exponents  # f and every g_k have two factors
+        half = [-r0 * x - r1 * y for x, y in zip(table[d0], table[d1])]
         # the base and level-1 cusps are rational: the value is a plain
         # power of p, so the half-exponent difference must be even
         diff = half[n] - half[0]
@@ -101,8 +103,8 @@ def delta_kernel_on_cuspidal(p: int, n: int) -> AbelianGroup:
     """
     a_prime = 12 // gcd(p - 1, 12)
     _check_triangular(delta_matrix(p, n), a_prime)
-    f = prime_power_generators(p, n)[0]
-    quotient = gcd(a_prime, *divisor_lattice_coordinates(divisor(f)))
+    f, lvl = prime_power_generators(p, n)[0], Level.of({p: n})  # {p: n} needs no factorization
+    quotient = gcd(a_prime, *divisor_lattice_coordinates(divisor(f, lvl), lvl))
     return AbelianGroup.from_cyclic_orders([quotient])
 
 

@@ -162,6 +162,24 @@ def test_banded_class_group_matches_ling_structure_at_depth(p, n):
     assert class_group(p, n).group == ling_structure(p, n)
 
 
+def test_class_group_takes_the_banded_columns_in_reverse(monkeypatch):
+    # the column of the small entries e(p-1)/24 and u goes first, so each
+    # Smith pivot starts at its least entry; reversing the columns is
+    # unimodular, so the group is still Ling's
+    import cuspidal.classgroup as classgroup
+
+    seen, cokernel_of = [], classgroup.cokernel
+    monkeypatch.setattr(
+        classgroup, "cokernel", lambda rows, *rest: seen.append([list(x) for x in rows]) or cokernel_of(rows, *rest)
+    )
+    for p in (5, 7, 11, 13):
+        for n in range(1, 14):
+            seen.clear()
+            group = class_group(p, n).group
+            assert seen == [[x[::-1] for x in _banded_coordinates(p, n)]], (p, n)
+            assert group == ling_structure(p, n), (p, n)
+
+
 def test_a_step_that_is_not_unimodular_fails_the_comparison(monkeypatch):
     # scaling a column by p multiplies the order by p, so the comparison
     # with the plain coordinates can catch a wrong step

@@ -307,6 +307,19 @@ def test_text_shows_every_scalar_of_the_json_report(capsys):
             assert shown in text, (argv, leaf)
 
 
+def test_torsion_of_a_prime_power_factors_nothing(monkeypatch, capsys):
+    # div f and its coordinates take the record of {p: n}, so even with the
+    # level records dropped no level is factored
+    from cuspidal import curve
+
+    calls, factorize_n = [], curve.factorize
+    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize_n(n))
+    curve.level.cache_clear()
+    code, _, _ = run_cli(capsys, "torsion", "--p", "7", "--n", "4")
+    assert code == 0
+    assert calls == []
+
+
 def test_text_golden_delta(capsys):
     code, out, _ = run_cli(capsys, "delta", "--p", "5", "--n", "3")
     assert code == 0

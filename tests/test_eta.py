@@ -83,6 +83,13 @@ def test_divisor_examples():
     assert divisor(f11) == CuspDivisor.make(11, {11: 5, 1: -5})
 
 
+def test_divisor_of_the_empty_quotient_is_zero():
+    # each sum of order columns starts from the first factor's column, so a
+    # quotient with no factor must still give the zero row
+    for N in (1, 2, 7, 12, 25, 5**6, 360, 9240):
+        assert divisor(EtaQuotient.one(N)) == CuspDivisor.make(N, {}), N
+
+
 def test_divisor_pq_example():
     p, q = 13, 37
     f1, f2, f3 = pq_generators(p, q)

@@ -42,7 +42,7 @@ DEEP_DELTA_CASES = [(5, 40), (7, 24), (257, 4), (5, 400)]
 
 
 def test_delta_matrix_closed_form():
-    cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 6)] + DEEP_DELTA_CASES
+    cases = [(p, n) for p in (5, 7, 11, 13) for n in range(1, 31)] + DEEP_DELTA_CASES
     for p, n in cases:
         assert delta_matrix(p, n) == closed_form_delta_matrix(p, n), (p, n)
 
@@ -162,7 +162,9 @@ def test_delta_kernel_on_cuspidal_is_the_gcd_of_a_prime_with_div_f(monkeypatch, 
     import cuspidal.jacobian as jacobian
 
     monkeypatch.setattr(
-        jacobian, "divisor_lattice_coordinates", lambda E: [scale * c for c in divisor_lattice_coordinates(E)]
+        jacobian,
+        "divisor_lattice_coordinates",
+        lambda E, lvl=None: [scale * c for c in divisor_lattice_coordinates(E, lvl)],
     )
     assert jacobian.delta_kernel_on_cuspidal(p, 3) == AbelianGroup(expected)
 
@@ -366,8 +368,8 @@ def test_prime_power_kernel_is_the_cokernel_of_the_columns_of_w_and_delta(monkey
     # coordinates by 6 makes the kernels nontrivial (of order a')
     import cuspidal.jacobian as jacobian
 
-    def scaled(E):
-        return [scale * c for c in divisor_lattice_coordinates(E)]
+    def scaled(E, lvl=None):
+        return [scale * c for c in divisor_lattice_coordinates(E, lvl)]
 
     monkeypatch.setattr(jacobian, "divisor_lattice_coordinates", scaled)
     for p in (5, 7, 11, 13, 17):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, prod
 
 import pytest
@@ -482,6 +482,20 @@ def test_congruence_kernel():
     assert abs(IntMatrix(kernel).det()) == 12
     for vec in kernel:
         assert vec[0] % 3 == 0 and (vec[1] + vec[2]) % 4 == 0
+
+
+def test_congruence_kernel_does_not_depend_on_the_order_of_the_conditions():
+    # the kernel is one lattice and its Hermite basis is unique, so the
+    # conditions may come in any order (classgroup puts the parity ones first)
+    rng = random.Random(6113)
+    for _ in range(60):
+        t, m = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.randint(-30, 30) for _ in range(t)] for _ in range(m)]
+        moduli = [rng.choice((2, 3, 8, 24)) for _ in range(m)]
+        expected = congruence_kernel(rows, moduli)
+        for order in permutations(range(m)):
+            kernel = congruence_kernel([rows[i] for i in order], [moduli[i] for i in order])
+            assert kernel == expected, (rows, moduli, order)
 
 
 # The elimination kernels as they were before they worked on supports only:
