@@ -235,9 +235,7 @@ def class_group_for_level(N: int) -> ClassGroupResult:
     if N < 1:
         raise InputError("level N must be positive")
     if N == 1:
-        return ClassGroupResult(
-            N=1, group=AbelianGroup.trivial(), generator_divisors=(), certified=True
-        )
+        return ClassGroupResult(N=1, group=AbelianGroup(), generator_divisors=(), certified=True)
     lvl = level(N)
     if len(lvl.factors) == 1:
         ((p, n),) = lvl.factors

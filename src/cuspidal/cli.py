@@ -115,13 +115,13 @@ def cmd_eta_check(args):
 
 
 def cmd_divisor(args):
-    from .curve import cusp_degrees
+    from .curve import level
     from .eta import EtaQuotient, divisor
     h = EtaQuotient.parse(args.expression, args.level)
     div = divisor(h)
     return {
         "expression": str(h),
-        "coefficients": {str(d): _decimal(div.coefficient(d)) for d in cusp_degrees(args.level)},
+        "coefficients": {str(d): _decimal(div.coefficient(d)) for d in level(args.level).degrees},
         "degree": _decimal(div.degree()),
     }
 
@@ -209,7 +209,7 @@ def cmd_torsion(args):
     if args.p is None or args.n is None:
         raise ScopeError("torsion needs --p P --n K or --pq P Q")
     result = generalized_torsion(*_prime_power(args))
-    mu_part = _group_payload(result.mu_part)  # result.group is the same group, rendered once
+    mu_part = _group_payload(result.mu_part)  # the kernel is trivial: this is the torsion, rendered once
     return {
         **mu_part,
         "conditional": result.conditional,

@@ -73,17 +73,11 @@ def level(N: int) -> Level:
     return Level.of(factorize(N))
 
 
-def cusp_degrees(N: int):
-    """Read-only map d -> phi(gcd(d, N/d)) from the divisors d of N, in
-    increasing order, to the degrees of the cusps of level d."""
-    return level(N).degrees
-
-
 def cusps(N: int) -> list:
     """All cusps of X0(N), one per positive divisor of N, sorted by level."""
     return [
         Cusp(N=N, level=d, conductor=gcd(d, N // d), degree=phi, width=N // gcd(d * d, N))
-        for d, phi in cusp_degrees(N).items()
+        for d, phi in level(N).degrees.items()
     ]
 
 
@@ -120,7 +114,7 @@ class CuspDivisor(record("CuspDivisor", "N coefficients")):
     def degree(self) -> int:
         """Degree as a divisor on the curve over Q: coefficients weighted by
         the residue-field degrees of the cusps."""
-        degrees = cusp_degrees(self.N)
+        degrees = level(self.N).degrees
         return sum(c * degrees[d] for d, c in self.coefficients)
 
     def __str__(self):

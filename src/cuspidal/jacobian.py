@@ -19,15 +19,13 @@ from .linalg import AbelianGroup, IntMatrix, cokernel, is_prime, record
 from .transform import _c_valuations, pq_leading_coefficients, sigma_matrix
 
 
-class TorsionResult(
-    record("TorsionResult", "conditional kernel mu_part group up_to_2_torsion", defaults=(None, None))
-):
+class TorsionResult(record("TorsionResult", "conditional kernel mu_part up_to_2_torsion", defaults=(None,))):
     """Torsion of the generalized Jacobian assembled from the cuspidal data.
 
-    `group` is the resolved structure when the connecting-map kernel is
-    trivial and the extension degenerates; for the pq case the extension is
-    not resolved and only the order and the up-to-2-torsion statement are
-    reported (`group` is None, `up_to_2_torsion` carries the cyclic group).
+    On X0(p^n) the connecting-map kernel is asserted trivial, so the torsion
+    is `mu_part`. For the pq case the extension is not resolved: only the
+    order and `up_to_2_torsion`, the cyclic group it equals up to 2-torsion,
+    are known.
     """
 
     __slots__ = ()
@@ -132,13 +130,7 @@ def generalized_torsion(p: int, n: int) -> TorsionResult:
         raise AssertionError(
             f"connecting map unexpectedly fails to be injective for ({p}, {n})"
         )
-    mu = mu_contribution(p, n)
-    return TorsionResult(
-        conditional=(n >= 2),
-        kernel=kernel,
-        mu_part=mu,
-        group=mu,
-    )
+    return TorsionResult(conditional=(n >= 2), kernel=kernel, mu_part=mu_contribution(p, n))
 
 
 def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> TorsionResult:
@@ -152,8 +144,9 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
     up to 2-torsion. The extension itself is not resolved. `table` is
     `pq_leading_coefficients(p, q)` and `generator_divisors` the divisors of
     `pq_generators(p, q)` (`class_group_pq(p, q).generator_divisors`), each
-    computed here when not given. The coordinates of a divisor are its
-    coefficients at the cusps of levels 1, p and q, so N is not factored.
+    computed here when not given. W, the coordinates of those divisors
+    (`divisor_lattice_coordinates`, on a level record that factors nothing),
+    must have full rank: `cokernel` raises ValueError otherwise.
     """
     if generator_divisors is None:
         generator_divisors = class_group_pq(p, q).generator_divisors
@@ -172,18 +165,17 @@ def pq_delta_kernel(p: int, q: int, table=None, generator_divisors=None) -> Tors
                 assert diff % 2 == 0, "non-rational evaluation at a rational cusp"
                 row.append(diff // 2)
         lc_rows.append(row)
-    w = [[d.coefficient(level) for level in levels] for d in generator_divisors]
-    assert IntMatrix(w).det(), "the pq generator divisors are linearly dependent"
+    lvl = Level.of({p: 1, q: 1})
+    w = [divisor_lattice_coordinates(d, lvl) for d in generator_divisors]
+    cokernel(w, 3)  # ValueError unless W has full rank
     # the kernel is {x in Z^3 : x . W^-1 . lc_rows integral} modulo the rows
     # of W; with y = x . W^-1 it is {y in Q^3 : y . [W | lc_rows] integral}
     # modulo Z^3, the dual of the lattice spanned by the nine columns of
     # [W | lc_rows], so its structure is the cokernel of those columns
     kernel_group = cokernel([*zip(*w), *zip(*lc_rows)], 3)
-    mu = AbelianGroup((2, 2, 2))
     return TorsionResult(
         conditional=True,
         kernel=kernel_group,
-        mu_part=mu,
-        group=None,
+        mu_part=AbelianGroup((2, 2, 2)),
         up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
     )

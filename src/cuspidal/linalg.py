@@ -92,13 +92,10 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = other.transpose().entries
+        cols = list(zip(*other.entries))
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
         )
-
-    def transpose(self):
-        return IntMatrix(list(zip(*self.entries))) if self.entries else IntMatrix([])
 
     def diagonal(self):
         return [self.entries[i][i] for i in range(min(self.nrows, self.ncols))]
@@ -346,10 +343,6 @@ class AbelianGroup(record("AbelianGroup", "invariant_factors")):
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} violate the divisibility chain")
         return super().__new__(cls, factors)
-
-    @classmethod
-    def trivial(cls):
-        return cls(())
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":

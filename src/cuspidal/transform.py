@@ -47,10 +47,6 @@ class LeadingCoeff(record("LeadingCoeff", "phase half_exponents")):
                 return v
         return 0
 
-    @property
-    def magnitude_half_exponents(self) -> dict:
-        return dict(self.half_exponents)
-
     def as_complex(self) -> complex:
         # prod p^(v/2) = sqrt(num / den) with integers num, den
         num = den = 1

@@ -201,6 +201,16 @@ def test_input_errors_exit_code(capsys):
         assert err.startswith("error: "), argv
 
 
+def test_options_given_together_or_in_part_exit_2(capsys):
+    for argv, message in (
+        (("class-group", "--N", "30", "--p", "5"), "give either --N or --p/--n, not both"),
+        (("class-group", "--p", "5"), "class-group needs --p P --n K or --N N"),
+        (("torsion", "--pq", "13", "37", "--p", "5"), "give either --p/--n or --pq, not both"),
+        (("torsion", "--p", "5"), "torsion needs --p P --n K or --pq P Q"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_internal_value_error_exit_code(capsys, monkeypatch):
     def failing_cokernel(rows, k, modulus=None):
         raise ValueError("sub lattice has smaller rank; quotient is infinite")

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cuspidal.curve import MAX_CUSP_LEVELS, Cusp, CuspDivisor, Level, cusp_degrees, cusps, level
+from cuspidal.curve import MAX_CUSP_LEVELS, Cusp, CuspDivisor, Level, cusps, level
 from cuspidal.errors import InputError, ScopeError
 from cuspidal.linalg import factorize
 from test_linalg import euler_phi, sorted_divisors
@@ -106,7 +106,6 @@ def test_degree_sum_equals_standard_cusp_count():
 def test_cusp_degrees_table():
     for N in list(range(1, 201)) + [5040, 5**20, 13 * 37, 55440, 257**11]:
         degrees = level(N).degrees
-        assert cusp_degrees(N) is degrees
         assert list(degrees) == sorted_divisors(N)
         assert list(degrees.values()) == [c.degree for c in cusps(N)]
         assert list(degrees.values()) == [euler_phi(gcd(d, N // d)) for d in sorted_divisors(N)]
@@ -118,7 +117,7 @@ def test_cusp_degrees_table():
         lvl.N = 5
     for N in (0, -12):
         with pytest.raises(InputError):
-            cusp_degrees(N)
+            level(N)
         with pytest.raises(InputError):
             CuspDivisor.make(N, {})
 
@@ -185,7 +184,7 @@ def divisor_basis(p, n):
     """The standard basis D_0, ..., D_(n-1) of the degree-zero cuspidal
     divisor group on X0(p^n): D_i = Q_(p^i) - phi(gcd(p^i, p^(n-i))) Q_(p^n)."""
     N = p**n
-    degrees = cusp_degrees(N)
+    degrees = level(N).degrees
     return [CuspDivisor.make(N, {p**i: 1, N: -degrees[p**i]}) for i in range(n)]
 
 
@@ -199,8 +198,8 @@ def lambda_embedding(E, p, n):
         raise ValueError(f"divisor lives on X0({E.N}), not X0({N})")
     if E.degree() != 0:
         raise ValueError("divisor has nonzero degree")
-    coeffs = [E.coefficient(d) for d in cusp_degrees(N)]
-    degrees = list(cusp_degrees(N).values())
+    coeffs = [E.coefficient(d) for d in level(N).degrees]
+    degrees = list(level(N).degrees.values())
     image = [coeffs[n]] + [c * phi for c, phi in zip(coeffs[:n], degrees)]
     assert sum(image) == 0
     return image

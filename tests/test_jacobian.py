@@ -105,7 +105,7 @@ def test_delta_matrix_scope(capsys):
 def test_delta_cokernel():
     assert delta_cokernel(delta_matrix(5, 1)) == AbelianGroup((3,))
     assert delta_cokernel(delta_matrix(5, 4)) == AbelianGroup((3,))
-    assert delta_cokernel(delta_matrix(13, 3)) == AbelianGroup.trivial()
+    assert delta_cokernel(delta_matrix(13, 3)) == AbelianGroup()
     assert delta_cokernel(delta_matrix(7, 2)) == AbelianGroup((2,))
     assert delta_cokernel(delta_matrix(11, 2)) == AbelianGroup((6,))
 
@@ -234,14 +234,14 @@ def test_generalized_torsion_prime_level():
     primes = [p for p in range(5, 100) if all(p % d for d in range(2, p))]
     for p in primes:
         result = generalized_torsion(p, 1)
-        assert result.group == AbelianGroup((2,))
+        assert result.mu_part == AbelianGroup((2,))
         assert not result.conditional
         assert result.kernel.is_trivial
 
 
 def test_generalized_torsion_examples():
-    assert generalized_torsion(5, 2).group == AbelianGroup((2, 10))
-    assert generalized_torsion(5, 3).group == AbelianGroup((2, 10, 10))
+    assert generalized_torsion(5, 2).mu_part == AbelianGroup((2, 10))
+    assert generalized_torsion(5, 3).mu_part == AbelianGroup((2, 10, 10))
     result = generalized_torsion(5, 2)
     assert result.conditional
     assert result.order == result.kernel.order * result.mu_part.order
@@ -251,7 +251,7 @@ def test_generalized_torsion_matches_closed_form():
     for p in (5, 7, 11, 13, 17, 19):
         for n in range(1, 6):
             result = generalized_torsion(p, n)
-            assert result.group == torsion_closed_form(p, n), (p, n)
+            assert result.mu_part == torsion_closed_form(p, n), (p, n)
             assert result.conditional == (n >= 2)
 
 
@@ -261,12 +261,20 @@ def test_pq_delta_kernel_examples():
     assert result.mu_part == AbelianGroup((2, 2, 2))
     assert result.order == 8 * 18
     assert result.up_to_2_torsion == AbelianGroup((12 * 36 // 3,))
-    assert result.group is None
     assert result.conditional
+    # the pq extension is not resolved, so the record holds no torsion group of its own
+    assert TorsionResult._fields == ("conditional", "kernel", "mu_part", "up_to_2_torsion")
 
     result = pq_delta_kernel(13, 61)
     assert result.kernel == AbelianGroup((30,))
     assert result.order == 8 * 30
+
+
+def test_pq_delta_kernel_refuses_dependent_generator_divisors():
+    """W, the coordinates of the generator divisors, must have full rank."""
+    d = class_group_pq(13, 37).generator_divisors[0]
+    with pytest.raises(ValueError, match="smaller rank"):
+        pq_delta_kernel(13, 37, generator_divisors=(d, d, d))
 
 
 def rational_pq_delta_kernel(p, q):
@@ -302,7 +310,6 @@ def rational_pq_delta_kernel(p, q):
         conditional=True,
         kernel=quotient_structure(kernel_lattice, w),
         mu_part=AbelianGroup((2, 2, 2)),
-        group=None,
         up_to_2_torsion=AbelianGroup.from_cyclic_orders([(p - 1) * (q - 1) // 3]),
     )
 

@@ -49,7 +49,7 @@ def quotient_structure(ambient_basis, sub_basis) -> AbelianGroup:
     if not ambient:
         if any(any(v) for v in subs):
             raise ValueError("sub lattice not contained in the trivial ambient lattice")
-        return AbelianGroup.trivial()
+        return AbelianGroup()
     coords = []
     for v in subs:
         try:
@@ -151,10 +151,10 @@ STANDARD_QUOTIENTS = (
 def test_quotient_structure_examples():
     for quotient in STANDARD_QUOTIENTS:
         assert quotient([[2, 0], [0, 3]]) == AbelianGroup((6,))
-        assert quotient([[1, 0], [0, 1]]) == AbelianGroup.trivial()
+        assert quotient([[1, 0], [0, 1]]) == AbelianGroup()
         assert quotient([[1, 1], [1, -1]]) == AbelianGroup((2,))
         assert quotient([[2, 0], [0, 3], [4, 3]]) == AbelianGroup((6,))
-    assert cokernel([], 0) == AbelianGroup.trivial()
+    assert cokernel([], 0) == AbelianGroup()
 
 
 def determinantal_invariants(rows):
@@ -307,7 +307,7 @@ def test_bordered_index_agrees_with_quotient_structure():
 def test_abelian_group_normalization():
     assert AbelianGroup.from_cyclic_orders([2, 3]) == AbelianGroup((6,))
     assert AbelianGroup.from_cyclic_orders([2, 2, 3]) == AbelianGroup((2, 6))
-    assert AbelianGroup.from_cyclic_orders([1, 1]) == AbelianGroup.trivial()
+    assert AbelianGroup.from_cyclic_orders([1, 1]) == AbelianGroup()
     assert AbelianGroup.from_cyclic_orders([4, 6]) == AbelianGroup((2, 12))
     assert AbelianGroup.from_cyclic_orders([2, 10]).invariant_factors == (2, 10)
 

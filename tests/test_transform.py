@@ -684,7 +684,7 @@ def test_pq_leading_coefficient_table():
     }
     for name, row in expected.items():
         for level, mags in row.items():
-            assert table[name][level].leading.magnitude_half_exponents == mags, (name, level)
+            assert dict(table[name][level].leading.half_exponents) == mags, (name, level)
 
 
 def test_pq_leading_coefficients_numeric():
